@@ -299,3 +299,128 @@ fn timer_wait_suspends_instead_of_spinning() {
     assert!(report.counters.io_wakeups >= 8);
     assert!(report.counters.blocked_highwater >= 2, "the waits actually overlapped");
 }
+
+/// Submits `n` one-off jobs (each compiled and linked afresh) and checks
+/// every answer.
+fn churn_one_off_jobs(pool: &Pool, n: u64) {
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let src = format!("(let ((x {i}) (ys '(1 2 {}))) (+ x (apply + ys)))", i % 7);
+            (pool.submit(JobSpec::new("one-off", src)).unwrap(), i + 3 + i % 7)
+        })
+        .collect();
+    for (h, want) in handles {
+        assert_eq!(h.wait().result, Ok(want.to_string()));
+    }
+}
+
+/// Worker 0's `(vm-stats)` fields, read right after a collection.
+fn worker_stats(pool: &Pool, keys: &[&str]) -> Vec<i64> {
+    let alist = pool
+        .submit(JobSpec::new("stats", "(begin (gc) (vm-stats))").pin(0))
+        .unwrap()
+        .wait()
+        .result
+        .unwrap();
+    keys.iter()
+        .map(|key| {
+            let needle = format!("({key} . ");
+            let at =
+                alist.find(&needle).unwrap_or_else(|| panic!("{key} in {alist}")) + needle.len();
+            let end = alist[at..].find(')').unwrap() + at;
+            alist[at..end].parse().unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn parked_one_shot_continuation_resumes_after_code_churn() {
+    // The parked job's toplevel frames sit in the one-shot continuation
+    // sealed by (timer-wait ...); 10k one-off jobs link, finish, and are
+    // reclaimed while it waits, reusing freed code ids and arena ranges.
+    const CHURN: u64 = 10_000;
+    let pool = Pool::builder().workers(1).build().unwrap();
+    // Size the wait to this build's speed, with a wide margin.
+    let t0 = std::time::Instant::now();
+    churn_one_off_jobs(&pool, 1000);
+    let wait_ms = t0.elapsed().as_millis() as u64 * (CHURN / 1000) * 3 + 200;
+    let waits = pool.stats().timer_waits;
+    let parked = pool
+        .submit(JobSpec::new(
+            "parked",
+            format!(
+                "(let ((xs (list 1 2 3)) (tag '(kept \"const\")))
+                   (cons (+ (apply + xs) (begin (timer-wait {wait_ms}) 10)) tag))"
+            ),
+        ))
+        .unwrap();
+    while pool.stats().timer_waits == waits {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    churn_one_off_jobs(&pool, CHURN);
+    assert!(parked.outcome().is_none(), "the churn ran while the job was parked");
+    assert_eq!(parked.wait().result.as_deref(), Ok("(16 kept \"const\")"));
+    pool.shutdown().unwrap();
+}
+
+#[test]
+fn soak_keeps_linked_code_and_heap_flat() {
+    // 50k one-off jobs and 200 connections on one worker. Each job links
+    // its own program; the handler template links once (the worker's link
+    // cache), however many one-off jobs run between its connections. After
+    // warm-up the worker's code arena and live heap stay within 2x of their
+    // size at 5k jobs.
+    use std::io::{Read, Write};
+    const KEYS: [&str; 5] =
+        ["code-ops-resident", "code-units-live", "heap-objects", "gc-objects-freed", "code-links"];
+    let pool = Pool::builder().workers(1).build().unwrap();
+    let served = Arc::new(AtomicU64::new(0));
+    let served_cb = Arc::clone(&served);
+    let handler = JobSpec::new(
+        "echo",
+        "(let* ((c (conn-take)) (d (tcp-read c 64))) (tcp-write c d) (tcp-close c) 'served)",
+    )
+    .on_complete(move |o| {
+        assert_eq!(o.result.as_deref(), Ok("served"));
+        served_cb.fetch_add(1, Ordering::SeqCst);
+    });
+    let serve = pool.serve("127.0.0.1:0", handler).unwrap();
+    let port = serve.port();
+    let mut at_5k = None;
+    let mut high = [0i64; 2];
+    let mut links = 0;
+    for round in 1..=50 {
+        churn_one_off_jobs(&pool, 1000);
+        for i in 0..4 {
+            let mut s = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+            let msg = format!("conn-{round}-{i}");
+            s.write_all(msg.as_bytes()).unwrap();
+            let mut buf = vec![0u8; msg.len()];
+            s.read_exact(&mut buf).unwrap();
+            assert_eq!(buf, msg.as_bytes());
+        }
+        let s = worker_stats(&pool, &KEYS);
+        let (ops, live) = (s[0], s[2] - s[3]);
+        match round {
+            5 => at_5k = Some([ops, live]),
+            r if r > 5 => high = [high[0].max(ops), high[1].max(live)],
+            _ => {}
+        }
+        assert!(s[1] < 1000, "units pile up: {s:?}");
+        if round > 1 {
+            // This round's one-off jobs and stats job; no connection links.
+            assert_eq!(s[4] - links, 1001, "round {round} relinked the handler");
+        }
+        links = s[4];
+    }
+    let base = at_5k.unwrap();
+    assert!(high[0] <= 2 * base[0], "code arena grew: {} at 5k jobs, {} later", base[0], high[0]);
+    assert!(high[1] <= 2 * base[1], "live heap grew: {} at 5k jobs, {} later", base[1], high[1]);
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while served.load(Ordering::SeqCst) < 200 {
+        assert!(std::time::Instant::now() < deadline, "handlers drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let report = pool.shutdown_timeout(Duration::from_secs(30)).unwrap();
+    assert_eq!(report.counters.failed, 0);
+}

@@ -15,7 +15,8 @@
 //! Collection is embedder-driven tri-color, as before: the embedder marks
 //! roots ([`Heap::mark_value`]), drains the gray worklist with
 //! [`Heap::mark_children`], interleaves continuation-stack marking via
-//! [`Heap::pop_kont`], then calls [`Heap::sweep`]. The mark phase performs
+//! [`Heap::pop_kont`] and linked-code marking via [`Heap::pop_code`], then
+//! calls [`Heap::sweep`]. The mark phase performs
 //! **no heap allocation**: children are scanned in place by index, and
 //! [`Heap::begin_gc`] pre-reserves worklist capacity for every live object.
 
@@ -396,6 +397,9 @@ pub struct Heap {
     /// Continuation records discovered during marking, for the embedder to
     /// drain (their stack slices live outside the heap).
     kont_gray: Vec<KontId>,
+    /// Code ids of closures scanned during marking, for the embedder to
+    /// drain (its linked code lives outside the heap).
+    code_gray: Vec<u32>,
     stats: HeapStats,
     peak_live: usize,
     alloc_since_gc: usize,
@@ -552,6 +556,14 @@ impl Heap {
         r
     }
 
+    /// Advances the allocation clock by `units` without allocating: the
+    /// embedder charges work that grows memory outside the heap (linking
+    /// code), so a process that links a lot but allocates little still
+    /// collects, and reclaims what it linked.
+    pub fn charge(&mut self, units: usize) {
+        self.alloc_since_gc += units;
+    }
+
     /// Whether enough allocation has happened that the embedder should run
     /// a collection at the next safe point.
     pub fn wants_collection(&self) -> bool {
@@ -695,6 +707,8 @@ impl Heap {
         self.gray.reserve(self.len());
         self.kont_gray.clear();
         self.kont_gray.reserve(self.konts.live);
+        self.code_gray.clear();
+        self.code_gray.reserve(self.closures.live);
     }
 
     /// Marks a value's object (if any) and queues it for scanning.
@@ -730,9 +744,16 @@ impl Heap {
         self.kont_gray.pop()
     }
 
+    /// Pops the code id of the next closure scanned during marking; the
+    /// embedder must keep that code (and its constants) alive.
+    pub fn pop_code(&mut self) -> Option<u32> {
+        self.code_gray.pop()
+    }
+
     /// Marks every value directly referenced by `r`, in place — no
     /// allocation, no callbacks. Continuations additionally enqueue their
-    /// stack record for the embedder (see [`Heap::pop_kont`]).
+    /// stack record for the embedder (see [`Heap::pop_kont`]), and
+    /// closures their code id (see [`Heap::pop_code`]).
     pub fn mark_children(&mut self, r: ObjRef) {
         let i = r.pool_index() as usize;
         match r.kind() {
@@ -752,6 +773,7 @@ impl Heap {
             }
             ObjKind::Str => {}
             ObjKind::Closure => {
+                self.code_gray.push(self.closures.slots[i].code);
                 for j in 0..self.closures.slots[i].free.as_slice().len() {
                     let v = self.closures.slots[i].free.as_slice()[j];
                     self.mark_value(v);

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use oneshot_runtime::Value;
 use oneshot_vm::{CompiledProgram, Vm, VmConfig, VmError, VmStats};
@@ -251,6 +252,8 @@ pub enum Wait {
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use oneshot_threads::{EngineHost, EngineStep};
 /// use oneshot_vm::{CompilerOptions, Pipeline, Vm};
 ///
@@ -261,7 +264,7 @@ pub enum Wait {
 ///     CompilerOptions::default(),
 /// )
 /// .unwrap();
-/// let id = host.spawn_program(&prog).unwrap();
+/// let id = host.spawn_program(&Arc::new(prog)).unwrap();
 /// let mut slices = 0;
 /// loop {
 ///     match host.step(id, 256).unwrap() {
@@ -337,17 +340,25 @@ impl EngineHost {
     /// Links `prog` into the host VM and registers its toplevel thunk as a
     /// new engine. Nothing runs until the first [`EngineHost::step`].
     ///
+    /// Linking goes through the VM's link cache ([`Vm::load_shared`]): a
+    /// program whose `Arc` is shared when spawned (a server's handler
+    /// template, held by the template and by each job) is linked once per
+    /// host, while the code of a one-off program is reclaimed by the first
+    /// collection after its engine is gone. Engines of one cached program
+    /// share its quoted constants: a program that mutates a quoted literal
+    /// sees the mutations of earlier engines on this host.
+    ///
     /// # Errors
     ///
     /// Propagates VM errors from engine registration.
-    pub fn spawn_program(&mut self, prog: &CompiledProgram) -> Result<EngineId, VmError> {
+    pub fn spawn_program(&mut self, prog: &Arc<CompiledProgram>) -> Result<EngineId, VmError> {
         let id = EngineId(self.next);
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             let s = self.high_slot;
             self.high_slot += 1;
             s
         });
-        let thunk = self.vm.load_program(prog);
+        let thunk = self.vm.load_shared(prog);
         let spawn = self.vm.global("exec-spawn!").expect("driver defines exec-spawn!");
         if let Err(e) = self.vm.call(spawn, &[Value::fixnum(slot), thunk]) {
             self.free_slots.push(slot);
@@ -653,8 +664,8 @@ mod tests {
         assert!(ts.stats().instructions > 0);
     }
 
-    fn compile(src: &str) -> oneshot_vm::CompiledProgram {
-        Vm::compile_str(src, oneshot_vm::Pipeline::Direct, Default::default()).unwrap()
+    fn compile(src: &str) -> Arc<oneshot_vm::CompiledProgram> {
+        Arc::new(Vm::compile_str(src, oneshot_vm::Pipeline::Direct, Default::default()).unwrap())
     }
 
     #[test]

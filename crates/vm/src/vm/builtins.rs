@@ -1069,8 +1069,7 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 .map_err(VmError::Runtime)?;
             let prog = oneshot_compiler::compile_program(&[datum], vm.pipeline())
                 .map_err(|e| err(e.to_string()))?;
-            let entry = vm.link(&prog);
-            let thunk = Value::obj(vm.heap.alloc(Obj::Closure { code: entry, free: Box::new([]) }));
+            let thunk = vm.load_program(&prog);
             Ok(Flow::Tail { f: thunk, argc: 0 })
         },
         "backtrace" => |vm, _argc| {
@@ -1118,6 +1117,9 @@ fn lookup(name: &str) -> Option<BuiltinFn> {
                 ("resident-slots", vm.stack.resident_slots() as i64),
                 ("live-segments", vm.stack.segment_count() as i64),
                 ("live-uncached-segments", vm.stack.live_segment_count() as i64),
+                ("code-units-live", stats.code_units_live as i64),
+                ("code-ops-resident", stats.code_ops_resident as i64),
+                ("code-links", stats.code_links as i64),
                 ("conditions-raised", stats.conditions_raised as i64),
                 ("faults-injected", stats.faults_injected as i64),
             ];

@@ -148,7 +148,7 @@ impl Vm {
             }
             match op {
                 Op::Const(i) => {
-                    self.acc = self.codes[self.code as usize].consts[i as usize];
+                    self.acc = self.loaded(self.code).consts[i as usize];
                 }
                 Op::FixInt(n) => self.acc = Value::fixnum(n.into()),
                 Op::Unspec => self.acc = Value::UNSPECIFIED,
@@ -201,18 +201,19 @@ impl Vm {
                     // Gather captures into a stack buffer: together with
                     // the heap's inline closure payload, small closures
                     // (the common case) never touch the Rust allocator.
-                    let n = self.codes[i as usize].free_spec.len();
+                    let n = self.loaded(i).free_spec.len();
                     if n <= 8 {
                         let mut buf = [Value::UNDEFINED; 8];
                         for (j, slot) in buf[..n].iter_mut().enumerate() {
-                            *slot = match self.codes[i as usize].free_spec[j] {
+                            *slot = match self.loaded(i).free_spec[j] {
                                 oneshot_compiler::FreeSrc::Local(k) => self.local(k as usize),
                                 oneshot_compiler::FreeSrc::Free(k) => self.free_value(k as usize),
                             };
                         }
                         self.acc = Value::obj(self.heap.alloc_closure(i, &buf[..n]));
                     } else {
-                        let free: Vec<Value> = self.codes[i as usize]
+                        let free: Vec<Value> = self
+                            .loaded(i)
                             .free_spec
                             .iter()
                             .map(|s| match *s {
@@ -453,7 +454,7 @@ impl Vm {
         if argc < required || (!rest && argc > required) {
             return Err(self.arity_error(required, rest, argc));
         }
-        let need = self.codes[self.code as usize].frame_slots as usize + 2;
+        let need = self.loaded(self.code).frame_slots as usize + 2;
         // Winder entries are critical sections: an asynchronous guard fault
         // delivered between the wind machinery's bookkeeping (winder pushed
         // or popped) and the winder thunk's body would unbalance
@@ -550,7 +551,7 @@ impl Vm {
     #[cold]
     #[inline(never)]
     fn arity_error(&self, required: usize, rest: bool, argc: usize) -> VmError {
-        let name = &self.codes[self.code as usize].name;
+        let name = &self.loaded(self.code).name;
         VmError::condition(
             "arity-error",
             format!(
@@ -591,7 +592,7 @@ impl Vm {
                 "timer expired with no interrupt handler",
             ));
         }
-        let fs = self.codes[self.code as usize].frame_slots as usize + 1;
+        let fs = self.loaded(self.code).frame_slots as usize + 1;
         let fp = self.stack.fp();
         self.stack.set(
             fp + fs,
@@ -623,7 +624,7 @@ impl Vm {
                     };
                     self.closure = f;
                     self.code = code;
-                    self.pc = self.codes[code as usize].base as usize;
+                    self.pc = self.loaded(code).base as usize;
                     self.argc = argc;
                     Ok(None)
                 }

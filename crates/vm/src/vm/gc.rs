@@ -13,11 +13,17 @@
 //! slices are walked by reference (heap and stack are disjoint fields of
 //! [`Vm`], so no values are copied out), and the continuation worklist
 //! buffer is owned by the VM and reused across collections.
+//!
+//! Linked code is collected too (see `code.rs`). The walk that finds heap
+//! values in frames also reads the code id of every return address — the
+//! paper's §3.1 frame-size word is what makes the stack walkable — and
+//! marked closures report their code ids through [`Heap::pop_code`]. A
+//! link unit none of these reach is freed, constants and all.
 
-use oneshot_runtime::Value;
+use oneshot_runtime::Heap;
 
 use crate::slot::Slot;
-use crate::vm::Vm;
+use crate::vm::{CodeUnits, LoadedCode, Vm};
 
 impl Vm {
     /// Runs a full collection. `live_above_fp` is the number of live slots
@@ -32,8 +38,11 @@ impl Vm {
         let mut konts = std::mem::take(&mut self.gc_kont_work);
         konts.clear();
 
+        self.units.begin_mark();
+
         // Roots: registers, globals, winders, timer handler, pending
-        // multiple values, constant pools.
+        // multiple values, the running code, and cached shared programs.
+        // Constants are roots only through their marked link unit.
         self.heap.mark_value(self.acc);
         self.heap.mark_value(self.closure);
         self.heap.mark_value(self.winders);
@@ -47,10 +56,10 @@ impl Vm {
         for &v in &self.globals {
             self.heap.mark_value(v);
         }
-        for code in &self.codes {
-            for &v in &code.consts {
-                self.heap.mark_value(v);
-            }
+        self.units.mark(&self.codes, &mut self.heap, self.code);
+        self.link_cache.retain(|(prog, _)| prog.strong_count() > 0);
+        for &(_, entry) in &self.link_cache {
+            self.units.mark(&self.codes, &mut self.heap, entry);
         }
         // The live portion of the running stack.
         let lo = self.stack.base();
@@ -72,6 +81,10 @@ impl Vm {
                 progressed = true;
                 self.heap.mark_children(r);
             }
+            while let Some(code) = self.heap.pop_code() {
+                progressed = true;
+                self.units.mark(&self.codes, &mut self.heap, code);
+            }
             while let Some(k) = self.heap.pop_kont() {
                 konts.push(k);
             }
@@ -88,19 +101,16 @@ impl Vm {
                     }
                     // The saved return address lives in the continuation
                     // object itself (not in the sealed slice) and carries
-                    // the caller's closure.
-                    if let Some(v) = slot_heap_value(self.stack.kont(k).ret()) {
-                        self.heap.mark_value(v);
-                    }
+                    // the caller's closure and code.
+                    let ret = self.stack.kont(k).ret();
+                    mark_slot(&mut self.heap, &mut self.units, &self.codes, ret);
                     // A prompt record's tag slot is also object-resident
                     // (it holds the embedder's tag pair).
-                    if let Some(v) = self.stack.kont(k).prompt().and_then(slot_heap_value) {
-                        self.heap.mark_value(v);
+                    if let Some(tag) = self.stack.kont(k).prompt() {
+                        mark_slot(&mut self.heap, &mut self.units, &self.codes, tag);
                     }
                     for s in self.stack.kont_slice(k) {
-                        if let Some(v) = slot_heap_value(s) {
-                            self.heap.mark_value(v);
-                        }
+                        mark_slot(&mut self.heap, &mut self.units, &self.codes, s);
                     }
                 }
             }
@@ -110,6 +120,7 @@ impl Vm {
         }
         self.gc_kont_work = konts;
 
+        self.units.sweep(&mut self.codes, &mut self.flat);
         self.heap.sweep();
         self.stack.sweep(false);
 
@@ -122,9 +133,7 @@ impl Vm {
 
     fn mark_slot_range(&mut self, lo: usize, hi: usize) {
         for i in lo..hi {
-            if let Some(v) = slot_heap_value(self.stack.get(i)) {
-                self.heap.mark_value(v);
-            }
+            mark_slot(&mut self.heap, &mut self.units, &self.codes, self.stack.get(i));
         }
     }
 
@@ -138,12 +147,15 @@ impl Vm {
     }
 }
 
-/// The heap value a slot keeps alive, if any (frame values and the saved
-/// closures inside return addresses).
-fn slot_heap_value(s: &Slot) -> Option<Value> {
+/// Marks what a slot keeps alive: a frame value, or the saved closure and
+/// the code of a return address.
+fn mark_slot(heap: &mut Heap, units: &mut CodeUnits, codes: &[LoadedCode], s: &Slot) {
     match s {
-        Slot::Val(v) => Some(*v),
-        Slot::Ret { closure, .. } => Some(*closure),
-        _ => None,
+        Slot::Val(v) => heap.mark_value(*v),
+        Slot::Ret { code, closure, .. } => {
+            heap.mark_value(*closure);
+            units.mark(codes, heap, *code);
+        }
+        _ => {}
     }
 }

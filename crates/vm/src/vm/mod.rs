@@ -1,13 +1,15 @@
 //! The virtual machine.
 
 mod builtins;
+mod code;
 mod exec;
 mod gc;
 
 use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 use oneshot_compiler::{
-    compile_program_with, CompiledProgram, CompilerOptions, FreeSrc, Op, Pipeline, MNEMONICS,
+    compile_program_with, CompiledProgram, CompilerOptions, Op, Pipeline, MNEMONICS,
 };
 use oneshot_core::{
     Config, ControlProbe, CountingProbe, FaultClock, FaultPlan, KontId, Overflow, RingTraceProbe,
@@ -22,6 +24,7 @@ use crate::error::VmError;
 use crate::slot::Slot;
 
 pub(crate) use builtins::BuiltinFn;
+pub(crate) use code::{CodeUnits, LoadedCode};
 
 /// The Scheme prelude (list operations and other library procedures),
 /// compiled through whichever pipeline the VM uses.
@@ -290,31 +293,6 @@ impl VmBuilder {
     }
 }
 
-/// A loaded (linked) code object: metadata plus a window into the VM's
-/// flat instruction arena.
-///
-/// The instructions themselves live concatenated in [`Vm::flat`]; each
-/// code object records only its base offset, so every control transfer is
-/// an offset assignment — no per-transfer clone or refcount traffic.
-#[derive(Debug)]
-pub(crate) struct LoadedCode {
-    /// Diagnostic name (error messages, backtraces).
-    pub(crate) name: String,
-    /// Maximum frame extent in slots (the `Entry` overflow check).
-    pub(crate) frame_slots: u16,
-    /// Offset of this code object's first instruction in [`Vm::flat`].
-    pub(crate) base: u32,
-    /// Instruction count (diagnostics; the code body ends in an
-    /// unconditional transfer, so dispatch never runs off the end).
-    #[allow(dead_code)]
-    pub(crate) len: u32,
-    /// Constants lowered to runtime values (GC roots).
-    pub(crate) consts: Vec<Value>,
-    /// Capture spec, pre-resolved at link time so closure creation reads
-    /// it in place (no per-`Op::Closure` clone).
-    pub(crate) free_spec: Box<[FreeSrc]>,
-}
-
 /// Aggregated statistics: instruction counts plus heap and stack counters.
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
@@ -348,6 +326,17 @@ pub struct VmStats {
     /// `gc_max_pause_ns`: [`VmStats::delta_since`] carries the later value
     /// through unchanged.
     pub segment_bytes_highwater: u64,
+    /// Link units currently resident: one per [`Vm::load_program`] (or
+    /// other link) whose code a collection has not yet found unreachable.
+    /// A gauge, carried through [`VmStats::delta_since`] unchanged.
+    pub code_units_live: u64,
+    /// Length of the flat instruction arena, in instructions: the code
+    /// memory held, live units and reusable free ranges alike. A gauge,
+    /// carried through [`VmStats::delta_since`] unchanged.
+    pub code_ops_resident: u64,
+    /// Link units created: one per [`Vm::load_program`], `eval`, and
+    /// uncached [`Vm::load_shared`] (a cache hit links nothing).
+    pub code_links: u64,
     /// Heap statistics snapshot.
     pub heap: HeapStats,
     /// Segmented-stack statistics snapshot.
@@ -370,6 +359,9 @@ impl VmStats {
             faults_injected: self.faults_injected - earlier.faults_injected,
             value_word_bytes: self.value_word_bytes,
             segment_bytes_highwater: self.segment_bytes_highwater,
+            code_units_live: self.code_units_live,
+            code_ops_resident: self.code_ops_resident,
+            code_links: self.code_links - earlier.code_links,
             heap: self.heap.delta_since(&earlier.heap),
             stack: self.stack.delta_since(&earlier.stack),
         }
@@ -385,11 +377,19 @@ pub struct Vm {
     pub(crate) heap: Heap,
     pub(crate) syms: Symbols,
     pub(crate) stack: SegStack<Slot, VmProbe>,
+    /// Linked code objects, indexed by code id. Freed ids hold tombstones
+    /// until a later link reuses them (see `code.rs`).
     pub(crate) codes: Vec<LoadedCode>,
     /// The flat instruction arena: every loaded code object's instructions,
     /// concatenated. `pc` is an absolute index into this vector; control
     /// transfers are pointer arithmetic on it.
     pub(crate) flat: Vec<Op>,
+    /// The link units over `codes` and `flat`, with their free lists.
+    pub(crate) units: CodeUnits,
+    /// Shared programs linked by [`Vm::load_shared`], with their entry
+    /// code ids. An entry whose program is still alive is a GC root; a
+    /// dead one is dropped at the next collection or insertion.
+    pub(crate) link_cache: Vec<(Weak<CompiledProgram>, u32)>,
     /// Globals. Unbound cells hold [`Value::UNDEFINED`], so the
     /// `GlobalRef` bound-check is one load + one compare.
     pub(crate) globals: Vec<Value>,
@@ -493,6 +493,8 @@ impl Vm {
             stack: SegStack::with_probe(cfg.stack, Slot::Marker, VmProbe::from(cfg.probe)),
             codes: Vec::new(),
             flat: Vec::new(),
+            units: CodeUnits::default(),
+            link_cache: Vec::new(),
             globals: Vec::new(),
             global_names: Vec::new(),
             global_ids: HashMap::new(),
@@ -636,9 +638,49 @@ impl Vm {
     ///
     /// The returned closure is a fresh heap object and is **not** GC-rooted;
     /// pass it to [`Vm::call`] or store it in a global before running
-    /// anything else on this VM.
+    /// anything else on this VM. The linked code lives exactly as long as
+    /// something can still run it: a collection keeps the code of every
+    /// reachable closure (this thunk included) and of every pending return
+    /// address, and reclaims the rest, constants and all.
     pub fn load_program(&mut self, prog: &CompiledProgram) -> Value {
         let entry = self.link(prog);
+        self.entry_closure(entry)
+    }
+
+    /// Like [`Vm::load_program`], but links each shared program only once
+    /// per VM: a later call with the same `Arc` (a server's handler
+    /// template, a resubmitted job) reuses the linked code. Only a program
+    /// that is shared when it is first linked (`Arc::strong_count > 1`) is
+    /// cached, so a one-off job's code is reclaimed as soon as it is
+    /// unreachable. A cached program keeps its code alive while the program
+    /// itself is alive anywhere; its entry is dropped at the first
+    /// collection (or cache insertion) after the last `Arc` goes away.
+    ///
+    /// Every load of a cached program runs the same linked code, so its
+    /// quoted constants are one set of objects shared by all those runs,
+    /// where [`Vm::load_program`] converts them afresh each time. Literals
+    /// are immutable in Scheme and the VM does not enforce it: a program
+    /// that mutates a quoted literal sees its own earlier mutations on
+    /// later loads into the same VM.
+    pub fn load_shared(&mut self, prog: &Arc<CompiledProgram>) -> Value {
+        // The cache's `Weak` keeps the allocation of every cached program
+        // in place, so no other live `Arc` can share its address.
+        let key = Arc::as_ptr(prog);
+        let entry = match self.link_cache.iter().find(|(w, _)| w.as_ptr() == key) {
+            Some(&(_, entry)) => entry,
+            None => {
+                let entry = self.link(prog);
+                if Arc::strong_count(prog) > 1 {
+                    self.link_cache.retain(|(w, _)| w.strong_count() > 0);
+                    self.link_cache.push((Arc::downgrade(prog), entry));
+                }
+                entry
+            }
+        };
+        self.entry_closure(entry)
+    }
+
+    fn entry_closure(&mut self, entry: u32) -> Value {
         Value::obj(self.heap.alloc(Obj::Closure { code: entry, free: Box::new([]) }))
     }
 
@@ -649,7 +691,7 @@ impl Vm {
     /// values, and the engine timer, and discards captured output. Globals,
     /// linked code, the symbol table, probe counters, and cumulative
     /// statistics all survive — sealed continuation segments held by parked
-    /// engines remain valid.
+    /// engines remain valid, and so does the code they return into.
     pub fn reset_for_reuse(&mut self) {
         self.recover();
         self.out.clear();
@@ -701,28 +743,40 @@ impl Vm {
         self.net.drain_closed(out);
     }
 
-    /// Links a compiled program into the VM, returning the loaded entry
-    /// code index. Global references are resolved by name, code indices
-    /// are rebased, and the instructions are appended to the flat arena.
+    /// Links a compiled program into the VM as one link unit, returning
+    /// the loaded entry code index. Global references are resolved by
+    /// name, code indices are rebased, and the instructions are written
+    /// into a free range of the flat arena (or appended). The unit's
+    /// instruction count is charged to the heap's allocation clock, so a
+    /// VM that links a lot collects, and reclaims its unreachable code.
     pub(crate) fn link(&mut self, prog: &CompiledProgram) -> u32 {
-        let base = self.codes.len() as u32;
+        let n_ops: usize = prog.codes.iter().map(|c| c.ops.len()).sum();
+        let (unit, base, mut ops_base) = self.units.alloc(
+            &mut self.codes,
+            &mut self.flat,
+            u32::try_from(prog.codes.len()).expect("code ids exceed u32 range"),
+            u32::try_from(n_ops).expect("flat arena exceeds u32 range"),
+        );
+        self.heap.charge(n_ops);
         // Map program-global indices to VM-global indices.
         let gmap: Vec<u32> = prog.globals.iter().map(|name| self.global_id(name)).collect();
-        for code in &prog.codes {
-            let ops_base = u32::try_from(self.flat.len()).expect("flat arena exceeds u32 range");
-            self.flat.extend(code.ops.iter().map(|op| match *op {
-                Op::GlobalRef(i) => Op::GlobalRef(gmap[i as usize]),
-                Op::GlobalSet(i) => Op::GlobalSet(gmap[i as usize]),
-                Op::GlobalDef(i) => Op::GlobalDef(gmap[i as usize]),
-                Op::CallGlobal { g, disp, argc } => {
-                    Op::CallGlobal { g: gmap[g as usize], disp, argc }
-                }
-                Op::TailCallGlobal { g, disp, argc } => {
-                    Op::TailCallGlobal { g: gmap[g as usize], disp, argc }
-                }
-                Op::Closure(i) => Op::Closure(base + i),
-                other => other,
-            }));
+        for (code, id) in prog.codes.iter().zip(base..) {
+            let dst = &mut self.flat[ops_base as usize..ops_base as usize + code.ops.len()];
+            for (d, op) in dst.iter_mut().zip(&code.ops) {
+                *d = match *op {
+                    Op::GlobalRef(i) => Op::GlobalRef(gmap[i as usize]),
+                    Op::GlobalSet(i) => Op::GlobalSet(gmap[i as usize]),
+                    Op::GlobalDef(i) => Op::GlobalDef(gmap[i as usize]),
+                    Op::CallGlobal { g, disp, argc } => {
+                        Op::CallGlobal { g: gmap[g as usize], disp, argc }
+                    }
+                    Op::TailCallGlobal { g, disp, argc } => {
+                        Op::TailCallGlobal { g: gmap[g as usize], disp, argc }
+                    }
+                    Op::Closure(i) => Op::Closure(base + i),
+                    other => other,
+                };
+            }
             let consts: Vec<Value> = code
                 .consts
                 .iter()
@@ -731,23 +785,34 @@ impl Vm {
             // Resumed frames must never outrun the post-reinstatement
             // headroom guarantee.
             self.stack.raise_reserve(code.frame_slots as usize + 2);
-            self.codes.push(LoadedCode {
+            self.codes[id as usize] = LoadedCode {
                 name: code.name.clone(),
                 frame_slots: code.frame_slots,
                 base: ops_base,
                 len: code.ops.len() as u32,
                 consts,
                 free_spec: code.free_spec.clone().into_boxed_slice(),
-            });
+                unit,
+            };
+            ops_base += code.ops.len() as u32;
         }
         base + prog.entry
+    }
+
+    /// The linked code object `id`. Debug builds catch any access to a
+    /// freed slot: reaching one means the collector missed a root.
+    #[inline]
+    pub(crate) fn loaded(&self, id: u32) -> &LoadedCode {
+        let c = &self.codes[id as usize];
+        debug_assert!(c.is_live(), "access to freed code object {id}");
+        c
     }
 
     /// Runs a zero-argument code object from the VM rest state.
     pub(crate) fn run_thunk(&mut self, entry: u32) -> Result<Value, VmError> {
         debug_assert!(matches!(self.stack.get(self.stack.fp()), Slot::Marker));
         self.code = entry;
-        self.pc = self.codes[entry as usize].base as usize;
+        self.pc = self.loaded(entry).base as usize;
         self.closure = Value::UNSPECIFIED;
         self.argc = 0;
         self.mv = None;
@@ -915,6 +980,9 @@ impl Vm {
             value_word_bytes: std::mem::size_of::<Value>() as u64,
             segment_bytes_highwater: (self.stack.resident_slots_highwater()
                 * std::mem::size_of::<Slot>()) as u64,
+            code_units_live: self.units.live() as u64,
+            code_ops_resident: self.flat.len() as u64,
+            code_links: self.units.links(),
             heap: self.heap.stats(),
             stack: *self.stack.stats(),
         }
@@ -1017,7 +1085,7 @@ impl Vm {
     /// frame-size word) is what lets tools walk the stack.
     pub fn backtrace(&self) -> Vec<String> {
         let mut names = Vec::new();
-        let code_name = |code: u32| self.codes[code as usize].name.clone();
+        let code_name = |code: u32| self.loaded(code).name.clone();
         names.push(code_name(self.code));
         // The current record: from the active frame down to the base.
         let mut pos = self.stack.fp();

@@ -112,3 +112,31 @@ fn sexp_reader_feeds_the_vm() {
     let v = vm.eval_str("(* 3 4)").unwrap();
     assert_eq!(vm.display_value(&v), "12");
 }
+
+#[test]
+fn linked_code_is_reclaimed_but_reachable_code_survives() {
+    // A load+call loop links 50k throwaway units; linking charges the
+    // heap's allocation clock, so collections reclaim them as it goes and
+    // the flat code arena stays within a fixed bound. A closure kept in a
+    // global through all of it still runs, constants and all.
+    let mut vm = Vm::new();
+    vm.eval_str("(define keep (lambda (n) (cons n '(still \"here\"))))").unwrap();
+    let prog = Vm::compile_str(
+        "(let ((xs '(1 2 3))) (apply + xs))",
+        Pipeline::Direct,
+        oneshot::vm::CompilerOptions::default(),
+    )
+    .unwrap();
+    let before = vm.stats().code_ops_resident;
+    let mut high = before;
+    for _ in 0..50_000 {
+        let thunk = vm.load_program(&prog);
+        assert_eq!(vm.call(thunk, &[]).unwrap().as_fixnum(), Some(6));
+        high = high.max(vm.stats().code_ops_resident);
+    }
+    assert!(high < before + 64 * 1024, "code arena grew from {before} to {high} ops");
+    vm.collect_now();
+    assert!(vm.stats().code_units_live < 16, "units left: {}", vm.stats().code_units_live);
+    let v = vm.eval_str("(keep 1)").unwrap();
+    assert_eq!(vm.write_value(&v), "(1 still \"here\")");
+}

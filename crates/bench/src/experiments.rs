@@ -996,9 +996,9 @@ pub fn exec_case(workers: usize, fuel_slice: u64, scale: &ExecScale) -> ExecRow 
         slices: c.slices,
         queue_depth_highwater: c.queue_depth_highwater,
         instructions: vm_sum(|w| w.vm.instructions),
-        captures_one: vm_sum(|w| w.vm.captures_one),
-        reinstates_one: vm_sum(|w| w.vm.reinstates_one),
-        slots_copied: vm_sum(|w| w.vm.slots_copied),
+        captures_one: vm_sum(|w| w.vm.stack.captures_one),
+        reinstates_one: vm_sum(|w| w.vm.stack.reinstates_one),
+        slots_copied: vm_sum(|w| w.vm.stack.slots_copied),
     }
 }
 
@@ -2225,11 +2225,7 @@ fn e17_drive_conns(port: u16, conns: usize, tag: &str) -> (usize, usize) {
 ///
 /// Panics if any pool leaks a socket, or — in the disarmed reference —
 /// if any fault fires or any job fails.
-pub fn e17_chaos_case(
-    backend: oneshot_exec::Backend,
-    scale: &E17Scale,
-    armed: bool,
-) -> E17Row {
+pub fn e17_chaos_case(backend: oneshot_exec::Backend, scale: &E17Scale, armed: bool) -> E17Row {
     use oneshot_exec::{JobSpec, Pool};
     use oneshot_vm::FaultPlan;
     // The disarmed run is the overhead/behavior reference: fewer seeds,
@@ -2272,8 +2268,7 @@ pub fn e17_chaos_case(
         let handler = JobSpec::new("chaos-echo", E17_HANDLER)
             .io_timeout(std::time::Duration::from_millis(500));
         let serve = pool.serve("127.0.0.1:0", handler).expect("listener binds");
-        let (answered, degraded) =
-            e17_drive_conns(serve.port(), scale.conns, &format!("s{seed}"));
+        let (answered, degraded) = e17_drive_conns(serve.port(), scale.conns, &format!("s{seed}"));
         serve.stop();
         let (leaked, audits) = e17_audit(&pool, scale.workers);
         let report = pool
@@ -2287,8 +2282,8 @@ pub fn e17_chaos_case(
         row.completed += c.completed;
         row.failed += c.failed;
         row.retried += c.retried;
-        row.faults_injected += c.io_faults_injected
-            + report.workers.iter().map(|w| w.vm.faults_injected).sum::<u64>();
+        row.faults_injected +=
+            c.io_faults_injected + report.workers.iter().map(|w| w.vm.faults_injected).sum::<u64>();
         row.io_timeouts += c.io_timeouts;
         row.worker_restarts += c.worker_restarts;
         row.audit_jobs += audits;
@@ -2370,8 +2365,7 @@ pub fn e17_overload_case(backend: oneshot_exec::Backend, burst: usize) -> E17Row
     }
     serve.stop();
     let (leaked, audits) = e17_audit(&pool, 1);
-    let report =
-        pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
+    let report = pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
     let c = &report.counters;
     assert!(served >= 1, "E17 overload: the pool must keep serving while shedding");
     assert!(shed >= 1, "E17 overload: the burst must overflow the high-water mark");
@@ -2417,8 +2411,8 @@ pub fn e17_supervision_case(backend: oneshot_exec::Backend, workers: usize) -> E
         .reactor_backend(backend)
         .build()
         .expect("pool spawns");
-    let handler = JobSpec::new("echo-once", E17_HANDLER)
-        .io_timeout(std::time::Duration::from_millis(500));
+    let handler =
+        JobSpec::new("echo-once", E17_HANDLER).io_timeout(std::time::Duration::from_millis(500));
     let start = Instant::now();
     let serve = pool.serve("127.0.0.1:0", handler).expect("listener binds");
     let port = serve.port();
@@ -2435,8 +2429,7 @@ pub fn e17_supervision_case(backend: oneshot_exec::Backend, workers: usize) -> E
     let (post_answered, post_degraded) = e17_drive_conns(port, 4, "post");
     serve.stop();
     let (leaked, audits) = e17_audit(&pool, workers);
-    let report =
-        pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
+    let report = pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
     let c = &report.counters;
     assert!(c.worker_restarts >= 1, "E17 supervision: the restart must be counted");
     assert_eq!(

@@ -7,13 +7,12 @@
 //! per-experiment control-event counts (captures, reinstatements,
 //! overflows, slots copied, ...) alongside the wall-clock numbers. The
 //! parser exists so tests can round-trip the emitted document and
-//! reconcile its counts against live [`Stats`] values without an external
-//! JSON crate.
+//! reconcile its counts against live [`Stats`](oneshot_core::Stats)
+//! values without an external JSON crate.
 
 use std::fmt::Write as _;
 
-use oneshot_core::Stats;
-use oneshot_vm::VmStats;
+use oneshot_core::{Counters, Reading};
 
 use crate::measure::Measurement;
 
@@ -347,93 +346,34 @@ impl Parser<'_> {
     }
 }
 
-/// The control-event counters of a [`Stats`] as a JSON object, one key per
-/// field, named exactly after the field.
-pub fn stats_json(s: &Stats) -> Json {
-    Json::obj([
-        ("segments_allocated", Json::int(s.segments_allocated)),
-        ("segment_slots_allocated", Json::int(s.segment_slots_allocated)),
-        ("cache_hits", Json::int(s.cache_hits)),
-        ("cache_returns", Json::int(s.cache_returns)),
-        ("captures_multi", Json::int(s.captures_multi)),
-        ("captures_one", Json::int(s.captures_one)),
-        ("captures_empty", Json::int(s.captures_empty)),
-        ("reinstates_multi", Json::int(s.reinstates_multi)),
-        ("reinstates_one", Json::int(s.reinstates_one)),
-        ("slots_copied", Json::int(s.slots_copied)),
-        ("splits", Json::int(s.splits)),
-        ("promotions", Json::int(s.promotions)),
-        ("promotion_steps", Json::int(s.promotion_steps)),
-        ("overflows", Json::int(s.overflows)),
-        ("underflows", Json::int(s.underflows)),
-        ("shots", Json::int(s.shots)),
-        ("prompts_pushed", Json::int(s.prompts_pushed)),
-        ("subconts_taken", Json::int(s.subconts_taken)),
-        ("subconts_pushed", Json::int(s.subconts_pushed)),
-        ("aborts_to_prompt", Json::int(s.aborts_to_prompt)),
-        ("subcont_slots", Json::int(s.subcont_slots)),
-        ("slots_encapsulated", Json::int(s.slots_encapsulated)),
-    ])
-}
-
-/// A [`VmStats`] as a JSON object: instruction/call/GC counters at the top
-/// level, heap and stack counters nested.
-///
-/// The heap object mirrors [`HeapStats`](oneshot_runtime::HeapStats)'
-/// counter/gauge split: `objects_freed` and `sweep_ns` are monotone
-/// counters (safe to sum across deltas — use these, not `last_freed`, for
-/// GC volume); `last_sweep_ns`, `live`, `peak_live`, and `pools` are
-/// point-in-time gauges carried from the later snapshot.
-pub fn vm_stats_json(s: &VmStats) -> Json {
-    Json::obj([
-        ("instructions", Json::int(s.instructions)),
-        ("calls", Json::int(s.calls)),
-        ("gc_collections", Json::int(s.gc_collections)),
-        ("gc_pause_ns", Json::int(s.gc_pause_ns)),
-        ("gc_max_pause_ns", Json::int(s.gc_max_pause_ns)),
-        ("gc_objects_freed", Json::int(s.gc_objects_freed)),
-        ("conditions_raised", Json::int(s.conditions_raised)),
-        ("faults_injected", Json::int(s.faults_injected)),
-        ("value_word_bytes", Json::int(s.value_word_bytes)),
-        ("segment_bytes_highwater", Json::int(s.segment_bytes_highwater)),
-        (
-            "heap",
-            Json::obj([
-                ("words_allocated", Json::int(s.heap.words_allocated)),
-                ("objects_allocated", Json::int(s.heap.objects_allocated)),
-                ("closures_allocated", Json::int(s.heap.closures_allocated)),
-                ("collections", Json::int(s.heap.collections)),
-                ("objects_freed", Json::int(s.heap.objects_freed)),
-                ("sweep_ns", Json::int(s.heap.sweep_ns)),
-                ("last_sweep_ns", Json::int(s.heap.last_sweep_ns)),
-                ("live", Json::int(s.heap.live)),
-                ("peak_live", Json::int(s.heap.peak_live)),
-                (
-                    "pools",
-                    Json::obj([
-                        ("pairs", Json::int(s.heap.pools.pairs)),
-                        ("vectors", Json::int(s.heap.pools.vectors)),
-                        ("strs", Json::int(s.heap.pools.strs)),
-                        ("closures", Json::int(s.heap.pools.closures)),
-                        ("konts", Json::int(s.heap.pools.konts)),
-                        ("cells", Json::int(s.heap.pools.cells)),
-                    ]),
-                ),
-            ]),
-        ),
-        ("stack", stats_json(&s.stack)),
-    ])
+/// Every field a [`counters!`](oneshot_core::counters) struct declares, as
+/// a JSON object keyed by field name in declaration order: scalars as
+/// integers, lists as arrays, tags as strings, nested structs as nested
+/// objects. A field added to a declaration appears here with no edit.
+pub fn counters_json(c: &dyn Counters) -> Json {
+    let mut pairs = Vec::new();
+    c.visit(&mut |name, reading| {
+        let value = match reading {
+            Reading::Int(_, n) => Json::int(n),
+            Reading::Ints(_, ns) => Json::Arr(ns.iter().map(|&n| Json::int(n)).collect()),
+            Reading::Tag(tag) => Json::str(tag),
+            Reading::Nested(inner) => counters_json(inner),
+        };
+        pairs.push((name.to_string(), value));
+    });
+    Json::Obj(pairs)
 }
 
 /// A [`Measurement`] as a JSON object: wall-clock milliseconds plus the
-/// full counter delta from [`vm_stats_json`].
+/// full counter delta from [`counters_json`].
 pub fn measurement_json(m: &Measurement) -> Json {
-    Json::obj([("ms", Json::Num(m.ms())), ("delta", vm_stats_json(&m.delta))])
+    Json::obj([("ms", Json::Num(m.ms())), ("delta", counters_json(&m.delta))])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oneshot_core::Stats;
 
     #[test]
     fn render_parse_round_trips() {
@@ -464,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_reconciles_field_for_field() {
+    fn counters_json_reconciles_stats_field_for_field() {
         let mut s = Stats::default();
         s.captures_one = 7;
         s.reinstates_one = 6;
@@ -476,7 +416,7 @@ mod tests {
         s.aborts_to_prompt = 3;
         s.subcont_slots = 77;
         s.slots_encapsulated = 512;
-        let j = stats_json(&s);
+        let j = counters_json(&s);
         let parsed = Json::parse(&j.render()).unwrap();
         assert_eq!(parsed.get("captures_one").unwrap().as_u64(), Some(7));
         assert_eq!(parsed.get("reinstates_one").unwrap().as_u64(), Some(6));
@@ -492,14 +432,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_carries_live_delimited_counts() {
+    fn counters_json_carries_live_delimited_counts() {
         // End to end: a shift/reset round trip shows up in the emitted
         // document with nonzero delimited counters.
         let mut vm = oneshot_vm::Vm::new();
         let before = vm.stats();
         vm.eval_str("(reset (lambda () (+ 1 (shift (lambda (k) (k 10))))))").unwrap();
         let d = vm.stats().delta_since(&before);
-        let parsed = Json::parse(&stats_json(&d.stack).render()).unwrap();
+        let parsed = Json::parse(&counters_json(&d.stack).render()).unwrap();
         assert!(parsed.get("prompts_pushed").unwrap().as_u64().unwrap() >= 3);
         assert_eq!(parsed.get("subconts_taken").unwrap().as_u64(), Some(1));
         assert_eq!(parsed.get("subconts_pushed").unwrap().as_u64(), Some(1));

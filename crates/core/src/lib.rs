@@ -81,4 +81,4 @@ pub use fault::{FaultClock, FaultPlan};
 pub use kont::{Kont, KontId, KontKind};
 pub use probe::{ControlProbe, CountingProbe, NoopProbe, ProbeEvent, RingTraceProbe};
 pub use stack::{FrameWalker, Overflow, Reinstated, SegStack, SegmentId, Underflow};
-pub use stats::Stats;
+pub use stats::{AtomicField, Counters, Field, Kind, Reading, Stats};

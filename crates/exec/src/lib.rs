@@ -88,7 +88,6 @@ mod worker;
 pub use error::{Error, ErrorKind};
 pub use job::{Admission, JobHandle, JobId, JobOutcome, JobSpec, OnComplete};
 pub use pool::{
-    Pool, PoolBuilder, PoolCountersSnapshot, PoolReport, ServeHandle, ServeOptions, VmTotals,
-    WorkerReport,
+    Pool, PoolBuilder, PoolCountersSnapshot, PoolReport, ServeHandle, ServeOptions, WorkerReport,
 };
 pub use reactor::{Backend, WAKE_LATENESS_BUCKETS_MS};

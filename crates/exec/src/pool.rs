@@ -221,103 +221,103 @@ impl PoolBuilder {
     }
 }
 
-/// Pool-wide event counters (all `Relaxed`: totals, not synchronization).
-#[derive(Debug)]
-pub(crate) struct PoolCounters {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) timed_out: AtomicU64,
-    pub(crate) panicked: AtomicU64,
-    pub(crate) retried: AtomicU64,
-    pub(crate) steals: AtomicU64,
-    pub(crate) requeues: AtomicU64,
-    pub(crate) vm_rebuilds: AtomicU64,
-    pub(crate) slices: AtomicU64,
-    pub(crate) queue_depth_highwater: AtomicU64,
-    pub(crate) io_blocked: AtomicU64,
-    pub(crate) io_wakeups: AtomicU64,
-    pub(crate) timer_waits: AtomicU64,
-    pub(crate) blocked_highwater: AtomicU64,
-    pub(crate) accept_queue_highwater: AtomicU64,
-    pub(crate) accept_overflow: AtomicU64,
-    pub(crate) io_timeouts: AtomicU64,
-    pub(crate) io_faults_injected: AtomicU64,
-    pub(crate) accepts_shed: AtomicU64,
-    pub(crate) shed_duration_ns: AtomicU64,
-    pub(crate) worker_restarts: AtomicU64,
-    accepts: Vec<AtomicU64>,
-    resume_depth_highwater: Vec<AtomicU64>,
-    wake_lateness: Vec<AtomicU64>,
-    backend: Backend,
+oneshot_vm::counters! {
+    /// A point-in-time copy of the pool's counters.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PoolCountersSnapshot {
+        /// Jobs accepted by [`Pool::submit`].
+        counter submitted: u64,
+        /// Jobs that finished with a value.
+        counter completed: u64,
+        /// Jobs that finished with any [`Error`](crate::Error).
+        counter failed: u64,
+        /// Subset of `failed`: fuel budget exhausted.
+        counter timed_out: u64,
+        /// Subset of `failed`: the job itself panicked.
+        counter panicked: u64,
+        /// Transient failures that were requeued for another attempt (not
+        /// counted in `failed` unless the final attempt also failed).
+        counter retried: u64,
+        /// Jobs taken from another worker's deque.
+        counter steals: u64,
+        /// Preemptions: a job parked after its slice and was requeued.
+        counter requeues: u64,
+        /// Fresh VMs built after a panic.
+        counter vm_rebuilds: u64,
+        /// Engine fuel slices run.
+        counter slices: u64,
+        /// Deepest the injector queue ever got.
+        peak queue_depth_highwater: u64,
+        /// Suspensions on socket readiness (`tcp-accept`, `tcp-read`,
+        /// `tcp-write` finding the fd not ready).
+        counter io_blocked: u64,
+        /// Readiness/deadline deliveries the per-worker reactors made (I/O
+        /// and timers).
+        counter io_wakeups: u64,
+        /// Suspensions on `timer-wait`.
+        counter timer_waits: u64,
+        /// Most jobs simultaneously blocked on any single worker — the honest
+        /// measure of peak per-worker green-thread concurrency.
+        peak blocked_highwater: u64,
+        /// Most accepted-but-unadopted connections pending across every
+        /// worker's intake queue at once.
+        peak accept_queue_highwater: u64,
+        /// Accepted connections shed because the owning worker's socket table
+        /// was full.
+        counter accept_overflow: u64,
+        /// Blocked waits resumed with the catchable `io-timeout` condition
+        /// because their per-wait I/O deadline
+        /// ([`PoolBuilder::io_timeout`](crate::PoolBuilder::io_timeout) /
+        /// [`JobSpec::io_timeout`](crate::JobSpec::io_timeout)) expired.
+        counter io_timeouts: u64,
+        /// Reactor-level faults the deterministic plan injected (synthetic
+        /// `EINTR`, delayed readiness, dropped readiness). VM-level injections
+        /// (short reads/writes, spurious would-block, resets) are counted in
+        /// each [`WorkerReport::vm`]'s `faults_injected` instead.
+        counter io_faults_injected: u64,
+        /// Connections refused by overload shedding
+        /// ([`ServeOptions::pending_highwater`](crate::ServeOptions)): closed
+        /// immediately or answered by the overload handler instead of the
+        /// full-price handler.
+        counter accepts_shed: u64,
+        /// Total nanoseconds the acceptor spent in the shedding state —
+        /// how long the pool was saturated past its high-water mark.
+        counter shed_duration_ns: u64,
+        /// Full worker restarts performed by the supervisor (VM *and* reactor
+        /// rebuilt after a panic escaped the per-slice isolation). Every
+        /// restart also counts a `vm_rebuilds`.
+        counter worker_restarts: u64,
+        /// Connections the shared listener routed to each worker — flat when
+        /// the least-loaded/round-robin distribution is doing its job.
+        counter accepts_per_worker: Vec<u64>,
+        /// Largest single-harvest wakeup batch per worker: how many sealed
+        /// continuations one reactor pass requeued at once.
+        peak resume_depth_highwater: Vec<u64>,
+        /// Timer wake-lateness histogram, summed across workers: delivery
+        /// time minus deadline, bucketed by
+        /// [`WAKE_LATENESS_BUCKETS_MS`](crate::WAKE_LATENESS_BUCKETS_MS)
+        /// (the last bucket is the unbounded tail). Measured inside the
+        /// reactor, so it is pure scheduler lag.
+        counter wake_lateness: Vec<u64>,
+        /// Which readiness backend the pool's reactors run (`"poll"` or
+        /// `"epoll"`).
+        gauge reactor_backend: &'static str,
+    }
+
+    /// Pool-wide event counters, bumped `Relaxed`: totals, not
+    /// synchronization.
+    pub(crate) struct PoolCounters;
 }
 
 impl PoolCounters {
     fn new(workers: usize, backend: Backend) -> Self {
+        let zeros = |n| (0..n).map(|_| AtomicU64::new(0)).collect();
         PoolCounters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            requeues: AtomicU64::new(0),
-            vm_rebuilds: AtomicU64::new(0),
-            slices: AtomicU64::new(0),
-            queue_depth_highwater: AtomicU64::new(0),
-            io_blocked: AtomicU64::new(0),
-            io_wakeups: AtomicU64::new(0),
-            timer_waits: AtomicU64::new(0),
-            blocked_highwater: AtomicU64::new(0),
-            accept_queue_highwater: AtomicU64::new(0),
-            accept_overflow: AtomicU64::new(0),
-            io_timeouts: AtomicU64::new(0),
-            io_faults_injected: AtomicU64::new(0),
-            accepts_shed: AtomicU64::new(0),
-            shed_duration_ns: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            accepts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            resume_depth_highwater: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            wake_lateness: (0..crate::reactor::WAKE_LATENESS_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            backend,
-        }
-    }
-
-    fn snapshot(&self) -> PoolCountersSnapshot {
-        PoolCountersSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            panicked: self.panicked.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            requeues: self.requeues.load(Ordering::Relaxed),
-            vm_rebuilds: self.vm_rebuilds.load(Ordering::Relaxed),
-            slices: self.slices.load(Ordering::Relaxed),
-            queue_depth_highwater: self.queue_depth_highwater.load(Ordering::Relaxed),
-            io_blocked: self.io_blocked.load(Ordering::Relaxed),
-            io_wakeups: self.io_wakeups.load(Ordering::Relaxed),
-            timer_waits: self.timer_waits.load(Ordering::Relaxed),
-            blocked_highwater: self.blocked_highwater.load(Ordering::Relaxed),
-            accept_queue_highwater: self.accept_queue_highwater.load(Ordering::Relaxed),
-            accept_overflow: self.accept_overflow.load(Ordering::Relaxed),
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            io_faults_injected: self.io_faults_injected.load(Ordering::Relaxed),
-            accepts_shed: self.accepts_shed.load(Ordering::Relaxed),
-            shed_duration_ns: self.shed_duration_ns.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            accepts_per_worker: self.accepts.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            resume_depth_highwater: self
-                .resume_depth_highwater
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            wake_lateness: self.wake_lateness.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            reactor_backend: self.backend.name(),
+            accepts_per_worker: zeros(workers),
+            resume_depth_highwater: zeros(workers),
+            wake_lateness: zeros(crate::reactor::WAKE_LATENESS_BUCKETS),
+            reactor_backend: backend.name(),
+            ..PoolCounters::default()
         }
     }
 
@@ -326,7 +326,7 @@ impl PoolCounters {
     }
 
     pub(crate) fn note_accept(&self, worker: usize) {
-        self.accepts[worker].fetch_add(1, Ordering::Relaxed);
+        self.accepts_per_worker[worker].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_resume_depth(&self, worker: usize, depth: usize) {
@@ -339,183 +339,6 @@ impl PoolCounters {
                 slot.fetch_add(n, Ordering::Relaxed);
             }
         }
-    }
-}
-
-/// A point-in-time copy of the pool's counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolCountersSnapshot {
-    /// Jobs accepted by [`Pool::submit`].
-    pub submitted: u64,
-    /// Jobs that finished with a value.
-    pub completed: u64,
-    /// Jobs that finished with any [`Error`](crate::Error).
-    pub failed: u64,
-    /// Subset of `failed`: fuel budget exhausted.
-    pub timed_out: u64,
-    /// Subset of `failed`: the job itself panicked.
-    pub panicked: u64,
-    /// Transient failures that were requeued for another attempt (not
-    /// counted in `failed` unless the final attempt also failed).
-    pub retried: u64,
-    /// Jobs taken from another worker's deque.
-    pub steals: u64,
-    /// Preemptions: a job parked after its slice and was requeued.
-    pub requeues: u64,
-    /// Fresh VMs built after a panic.
-    pub vm_rebuilds: u64,
-    /// Engine fuel slices run.
-    pub slices: u64,
-    /// Deepest the injector queue ever got.
-    pub queue_depth_highwater: u64,
-    /// Suspensions on socket readiness (`tcp-accept`, `tcp-read`,
-    /// `tcp-write` finding the fd not ready).
-    pub io_blocked: u64,
-    /// Readiness/deadline deliveries the per-worker reactors made (I/O
-    /// and timers).
-    pub io_wakeups: u64,
-    /// Suspensions on `timer-wait`.
-    pub timer_waits: u64,
-    /// Most jobs simultaneously blocked on any single worker — the honest
-    /// measure of peak per-worker green-thread concurrency.
-    pub blocked_highwater: u64,
-    /// Most accepted-but-unadopted connections pending across every
-    /// worker's intake queue at once.
-    pub accept_queue_highwater: u64,
-    /// Accepted connections shed because the owning worker's socket table
-    /// was full.
-    pub accept_overflow: u64,
-    /// Blocked waits resumed with the catchable `io-timeout` condition
-    /// because their per-wait I/O deadline
-    /// ([`PoolBuilder::io_timeout`](crate::PoolBuilder::io_timeout) /
-    /// [`JobSpec::io_timeout`](crate::JobSpec::io_timeout)) expired.
-    pub io_timeouts: u64,
-    /// Reactor-level faults the deterministic plan injected (synthetic
-    /// `EINTR`, delayed readiness, dropped readiness). VM-level injections
-    /// (short reads/writes, spurious would-block, resets) are counted in
-    /// [`VmTotals::faults_injected`] instead.
-    pub io_faults_injected: u64,
-    /// Connections refused by overload shedding
-    /// ([`ServeOptions::pending_highwater`](crate::ServeOptions)): closed
-    /// immediately or answered by the overload handler instead of the
-    /// full-price handler.
-    pub accepts_shed: u64,
-    /// Total nanoseconds the acceptor spent in the shedding state —
-    /// how long the pool was saturated past its high-water mark.
-    pub shed_duration_ns: u64,
-    /// Full worker restarts performed by the supervisor (VM *and* reactor
-    /// rebuilt after a panic escaped the per-slice isolation). Every
-    /// restart also counts a `vm_rebuilds`.
-    pub worker_restarts: u64,
-    /// Connections the shared listener routed to each worker — flat when
-    /// the least-loaded/round-robin distribution is doing its job.
-    pub accepts_per_worker: Vec<u64>,
-    /// Largest single-harvest wakeup batch per worker: how many sealed
-    /// continuations one reactor pass requeued at once.
-    pub resume_depth_highwater: Vec<u64>,
-    /// Timer wake-lateness histogram, summed across workers: delivery
-    /// time minus deadline, bucketed by
-    /// [`WAKE_LATENESS_BUCKETS_MS`](crate::WAKE_LATENESS_BUCKETS_MS)
-    /// (the last bucket is the unbounded tail). Measured inside the
-    /// reactor, so it is pure scheduler lag.
-    pub wake_lateness: Vec<u64>,
-    /// Which readiness backend the pool's reactors run (`"poll"` or
-    /// `"epoll"`).
-    pub reactor_backend: &'static str,
-}
-
-impl PoolCountersSnapshot {
-    /// The counters accumulated between `earlier` and `self`: monotonic
-    /// counters subtract (saturating), highwater gauges and the backend
-    /// tag carry the later value — the same convention as
-    /// `VmStats::delta_since`.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &PoolCountersSnapshot) -> PoolCountersSnapshot {
-        PoolCountersSnapshot {
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            completed: self.completed.saturating_sub(earlier.completed),
-            failed: self.failed.saturating_sub(earlier.failed),
-            timed_out: self.timed_out.saturating_sub(earlier.timed_out),
-            panicked: self.panicked.saturating_sub(earlier.panicked),
-            retried: self.retried.saturating_sub(earlier.retried),
-            steals: self.steals.saturating_sub(earlier.steals),
-            requeues: self.requeues.saturating_sub(earlier.requeues),
-            vm_rebuilds: self.vm_rebuilds.saturating_sub(earlier.vm_rebuilds),
-            slices: self.slices.saturating_sub(earlier.slices),
-            queue_depth_highwater: self.queue_depth_highwater,
-            io_blocked: self.io_blocked.saturating_sub(earlier.io_blocked),
-            io_wakeups: self.io_wakeups.saturating_sub(earlier.io_wakeups),
-            timer_waits: self.timer_waits.saturating_sub(earlier.timer_waits),
-            blocked_highwater: self.blocked_highwater,
-            accept_queue_highwater: self.accept_queue_highwater,
-            accept_overflow: self.accept_overflow.saturating_sub(earlier.accept_overflow),
-            io_timeouts: self.io_timeouts.saturating_sub(earlier.io_timeouts),
-            io_faults_injected: self.io_faults_injected.saturating_sub(earlier.io_faults_injected),
-            accepts_shed: self.accepts_shed.saturating_sub(earlier.accepts_shed),
-            shed_duration_ns: self.shed_duration_ns.saturating_sub(earlier.shed_duration_ns),
-            worker_restarts: self.worker_restarts.saturating_sub(earlier.worker_restarts),
-            accepts_per_worker: self
-                .accepts_per_worker
-                .iter()
-                .zip(earlier.accepts_per_worker.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            resume_depth_highwater: self.resume_depth_highwater.clone(),
-            wake_lateness: self
-                .wake_lateness
-                .iter()
-                .zip(earlier.wake_lateness.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            reactor_backend: self.reactor_backend,
-        }
-    }
-}
-
-/// Key `VmStats` counters summed across a worker's VM incarnations
-/// (a panic-triggered rebuild starts a new incarnation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VmTotals {
-    /// Bytecode instructions executed.
-    pub instructions: u64,
-    /// Procedure calls performed.
-    pub calls: u64,
-    /// Garbage collections run.
-    pub gc_collections: u64,
-    /// Nanoseconds spent in the collector.
-    pub gc_pause_ns: u64,
-    /// Objects reclaimed by the collector.
-    pub gc_objects_freed: u64,
-    /// Heap objects allocated.
-    pub objects_allocated: u64,
-    /// One-shot continuation captures (engine preemptions mostly).
-    pub captures_one: u64,
-    /// One-shot reinstatements (engine resumes mostly).
-    pub reinstates_one: u64,
-    /// Stack slots copied (stays near zero: one-shot switches copy
-    /// nothing).
-    pub slots_copied: u64,
-    /// Conditions raised (caught or not) across all incarnations —
-    /// survives panic-triggered VM rebuilds rather than being dropped with
-    /// the poisoned VM.
-    pub conditions_raised: u64,
-    /// Deterministic faults the fault plan injected and the VM consumed.
-    pub faults_injected: u64,
-}
-
-impl VmTotals {
-    pub(crate) fn add(&mut self, s: &VmStats) {
-        self.instructions += s.instructions;
-        self.calls += s.calls;
-        self.gc_collections += s.gc_collections;
-        self.gc_pause_ns += s.gc_pause_ns;
-        self.gc_objects_freed += s.gc_objects_freed;
-        self.objects_allocated += s.heap.objects_allocated;
-        self.captures_one += s.stack.captures_one;
-        self.reinstates_one += s.stack.reinstates_one;
-        self.slots_copied += s.stack.slots_copied;
-        self.conditions_raised += s.conditions_raised;
-        self.faults_injected += s.faults_injected;
     }
 }
 
@@ -538,8 +361,9 @@ pub struct WorkerReport {
     pub vm_rebuilds: u64,
     /// Full supervisor restarts (VM and reactor backend both rebuilt).
     pub worker_restarts: u64,
-    /// VM counters summed over all incarnations.
-    pub vm: VmTotals,
+    /// VM counters accumulated over all incarnations: a panic-triggered
+    /// rebuild starts a new VM, whose counters add to these.
+    pub vm: VmStats,
 }
 
 impl WorkerReport {
@@ -553,7 +377,7 @@ impl WorkerReport {
             retries: 0,
             vm_rebuilds: 0,
             worker_restarts: 0,
-            vm: VmTotals::default(),
+            vm: VmStats::default(),
         }
     }
 }
@@ -882,10 +706,9 @@ impl Pool {
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("bind", e))?;
         listener.set_nonblocking(true).map_err(|e| Error::io("set_nonblocking", e))?;
         let port = listener.local_addr().map_err(|e| Error::io("local_addr", e))?.port();
-        let shed = options.pending_highwater.map(|hw| Shedding {
-            highwater: hw.max(1),
-            overload: overload_tmpl,
-        });
+        let shed = options
+            .pending_highwater
+            .map(|hw| Shedding { highwater: hw.max(1), overload: overload_tmpl });
         let shared =
             Arc::new(AcceptorShared { stop: AtomicBool::new(false), accepted: AtomicU64::new(0) });
         let thread_shared = Arc::clone(&shared);

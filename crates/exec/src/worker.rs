@@ -103,7 +103,15 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
     // VM and reactor backend, and re-enters serve() on the same queues.
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve(&ctx, &mut host, &mut reactor, &mut ready, &mut blocked, &mut next_seq, &mut report)
+            serve(
+                &ctx,
+                &mut host,
+                &mut reactor,
+                &mut ready,
+                &mut blocked,
+                &mut next_seq,
+                &mut report,
+            )
         }));
         match outcome {
             Ok(()) => break,
@@ -125,7 +133,7 @@ pub(crate) fn run(mut ctx: WorkerCtx) {
         }
     }
 
-    report.vm.add(&host.vm().stats());
+    report.vm.accumulate(&host.vm().stats());
     // The pool may already have given up on us (shutdown timeout); a dead
     // receiver is not our problem.
     let _ = ctx.report_tx.send(report);
@@ -247,7 +255,7 @@ fn supervise_restart(
     // Salvage the poisoned VM's counters, then replace it wholesale; the
     // interpreter state under an unwound panic is unknown, the stats
     // fields are plain counters.
-    report.vm.add(&host.vm().stats());
+    report.vm.accumulate(&host.vm().stats());
     *host = build_host(ctx);
     report.vm_rebuilds += 1;
     ctx.counters.vm_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -520,7 +528,15 @@ fn step_active(
             report.slices += 1;
             ctx.counters.slices.fetch_add(1, Ordering::Relaxed);
             let err = Error::vm(e.with_context(active.job.id.0, ctx.index as u32));
-            fail_or_retry(ctx, Some(host), report, &active.job, active.slices, active.fuel_used, err);
+            fail_or_retry(
+                ctx,
+                Some(host),
+                report,
+                &active.job,
+                active.slices,
+                active.fuel_used,
+                err,
+            );
         }
         Err(payload) => {
             handle_panic(
@@ -655,7 +671,7 @@ fn handle_panic(
     // Salvage the poisoned VM's counters, then replace it wholesale; the
     // interpreter state under an unwound panic is unknown, the stats
     // fields are plain counters.
-    report.vm.add(&host.vm().stats());
+    report.vm.accumulate(&host.vm().stats());
     *host = build_host(ctx);
     report.vm_rebuilds += 1;
     ctx.counters.vm_rebuilds.fetch_add(1, Ordering::Relaxed);

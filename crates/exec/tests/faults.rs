@@ -177,10 +177,8 @@ fn loopback_pair(body: &str) -> String {
 
 #[test]
 fn injected_connection_reset_is_a_catchable_io_error() {
-    let cfg = VmConfig {
-        fault_plan: Some(FaultPlan::none().with_io_reset(1)),
-        ..VmConfig::default()
-    };
+    let cfg =
+        VmConfig { fault_plan: Some(FaultPlan::none().with_io_reset(1)), ..VmConfig::default() };
     let pool = net_pool(1).vm_config(cfg).build().unwrap();
     let h = pool
         .submit(JobSpec::new(
@@ -242,14 +240,12 @@ fn killed_worker_is_rebuilt_and_blocked_jobs_are_retried() {
     // reactor, retries the blocked job (worker-reset is transient), and
     // the pool accepts and completes new work afterwards.
     let pool = Pool::builder().workers(1).resident_cap(8).max_retries(2).build().unwrap();
-    let collateral = pool
-        .submit(JobSpec::new("collateral", "(begin (timer-wait 400) 'survived)"))
-        .unwrap();
+    let collateral =
+        pool.submit(JobSpec::new("collateral", "(begin (timer-wait 400) 'survived)")).unwrap();
     // Give the timer job time to start and park in the reactor.
     std::thread::sleep(Duration::from_millis(100));
-    let killer = pool
-        .submit(JobSpec::new("killer", "(debug-panic! \"kill-worker-hard\")"))
-        .unwrap();
+    let killer =
+        pool.submit(JobSpec::new("killer", "(debug-panic! \"kill-worker-hard\")")).unwrap();
     let err = killer.wait().result.unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Panicked, "the culprit itself fails as a panic");
     assert_eq!(
@@ -299,9 +295,9 @@ fn overload_sheds_accepts_past_the_highwater() {
                 s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
                 let mut buf = [0u8; 8];
                 match s.read(&mut buf) {
-                    Ok(0) => "shed",          // closed without a byte: shed
-                    Ok(_) => "served",        // the handler answered "ok"
-                    Err(_) => "shed",         // reset also counts as shed
+                    Ok(0) => "shed",   // closed without a byte: shed
+                    Ok(_) => "served", // the handler answered "ok"
+                    Err(_) => "shed",  // reset also counts as shed
                 }
             })
         })
@@ -384,10 +380,8 @@ fn seeded_serve_chaos_drains_leak_free() {
     // and nothing leaks. (The full sweep lives in the bench harness.)
     const WORKERS: usize = 2;
     for seed in 0..4u64 {
-        let cfg = VmConfig {
-            fault_plan: Some(FaultPlan::seeded(seed, 256)),
-            ..VmConfig::default()
-        };
+        let cfg =
+            VmConfig { fault_plan: Some(FaultPlan::seeded(seed, 256)), ..VmConfig::default() };
         let pool = net_pool(WORKERS).vm_config(cfg).max_retries(2).build().unwrap();
         let handler = JobSpec::new(
             "chaos-echo",

@@ -172,86 +172,56 @@ impl Default for KontObj {
     }
 }
 
-/// Live-object counts per pool — point-in-time gauges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct PoolOccupancy {
-    /// Live pairs.
-    pub pairs: u64,
-    /// Live vectors.
-    pub vectors: u64,
-    /// Live strings.
-    pub strs: u64,
-    /// Live closures.
-    pub closures: u64,
-    /// Live continuations.
-    pub konts: u64,
-    /// Live cells.
-    pub cells: u64,
+oneshot_core::counters! {
+    /// Live-object counts per pool.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct PoolOccupancy {
+        /// Live pairs.
+        gauge pairs: u64,
+        /// Live vectors.
+        gauge vectors: u64,
+        /// Live strings.
+        gauge strs: u64,
+        /// Live closures.
+        gauge closures: u64,
+        /// Live continuations.
+        gauge konts: u64,
+        /// Live cells.
+        gauge cells: u64,
+    }
 }
 
-/// Heap statistics.
-///
-/// # Counters vs gauges
-///
-/// Fields are either **monotone counters** (only ever increase; a
-/// difference between two snapshots is the volume in between) or **gauges**
-/// (point-in-time readings; differencing or summing them is meaningless).
-/// [`HeapStats::delta_since`] subtracts the counters and carries the *later*
-/// snapshot's gauges through unchanged — consumers aggregating deltas (e.g.
-/// `crates/bench/src/metrics.rs`) must only sum the counter fields.
-///
-/// Counters: `words_allocated`, `objects_allocated`, `collections`,
-/// `closures_allocated`, `objects_freed`, `sweep_ns`.
-/// Gauges: `last_freed`, `last_sweep_ns`, `live`, `peak_live`, `pools`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct HeapStats {
-    /// Words allocated since creation (counter).
-    pub words_allocated: u64,
-    /// Objects allocated since creation (counter).
-    pub objects_allocated: u64,
-    /// Collections performed (counter).
-    pub collections: u64,
-    /// Objects freed by the last sweep (gauge — use
-    /// [`objects_freed`](Self::objects_freed) for volumes).
-    pub last_freed: u64,
-    /// Closures allocated since creation (counter) — drives the §5
-    /// closure-creation-overhead comparison with CPS compilation.
-    pub closures_allocated: u64,
-    /// Objects freed across all sweeps (counter).
-    pub objects_freed: u64,
-    /// Total nanoseconds spent sweeping (counter).
-    pub sweep_ns: u64,
-    /// Nanoseconds spent in the last sweep (gauge).
-    pub last_sweep_ns: u64,
-    /// Live objects right now (gauge).
-    pub live: u64,
-    /// Most objects ever simultaneously live (gauge, running maximum).
-    pub peak_live: u64,
-    /// Live objects per pool (gauges).
-    pub pools: PoolOccupancy,
-}
-
-impl HeapStats {
-    /// Counter-wise difference `self - earlier`; gauge fields
-    /// (`last_freed`, `last_sweep_ns`, `live`, `peak_live`, `pools`) keep
-    /// `self`'s current values — do not sum them across deltas.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &HeapStats) -> HeapStats {
-        HeapStats {
-            words_allocated: self.words_allocated - earlier.words_allocated,
-            objects_allocated: self.objects_allocated - earlier.objects_allocated,
-            collections: self.collections - earlier.collections,
-            last_freed: self.last_freed,
-            closures_allocated: self.closures_allocated - earlier.closures_allocated,
-            objects_freed: self.objects_freed - earlier.objects_freed,
-            sweep_ns: self.sweep_ns - earlier.sweep_ns,
-            last_sweep_ns: self.last_sweep_ns,
-            live: self.live,
-            peak_live: self.peak_live,
-            pools: self.pools,
-        }
+oneshot_core::counters! {
+    /// Heap statistics. Each field's kind says how it combines: sum the
+    /// counters across deltas, never the gauges.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct HeapStats {
+        /// Words allocated since creation.
+        counter words_allocated: u64,
+        /// Objects allocated since creation.
+        counter objects_allocated: u64,
+        /// Collections performed.
+        counter collections: u64,
+        /// Objects freed by the last sweep (use
+        /// [`objects_freed`](Self::objects_freed) for volumes).
+        gauge last_freed: u64,
+        /// Closures allocated since creation — drives the §5
+        /// closure-creation-overhead comparison with CPS compilation.
+        counter closures_allocated: u64,
+        /// Objects freed across all sweeps.
+        counter objects_freed: u64,
+        /// Total nanoseconds spent sweeping.
+        counter sweep_ns: u64,
+        /// Nanoseconds spent in the last sweep.
+        gauge last_sweep_ns: u64,
+        /// Live objects right now.
+        gauge live: u64,
+        /// Most objects ever simultaneously live.
+        peak peak_live: u64,
+        /// Live objects per pool.
+        nested pools: PoolOccupancy,
     }
 }
 

@@ -42,5 +42,5 @@ pub use slot::{slot_disp, Resume, Slot};
 pub use vm::{ProbeSpec, Vm, VmBuilder, VmConfig, VmProbe, VmStats};
 
 pub use oneshot_compiler::{CompiledProgram, CompilerOptions, Pipeline};
-pub use oneshot_core::{FaultClock, FaultPlan};
+pub use oneshot_core::{counters, FaultClock, FaultPlan};
 pub use oneshot_runtime::{Obj, ObjRef, SymbolId, Value};

@@ -293,78 +293,49 @@ impl VmBuilder {
     }
 }
 
-/// Aggregated statistics: instruction counts plus heap and stack counters.
-#[derive(Debug, Clone, Copy, Default)]
-#[non_exhaustive]
-pub struct VmStats {
-    /// Bytecode instructions executed.
-    pub instructions: u64,
-    /// Procedure calls performed (closures, builtins, continuations).
-    pub calls: u64,
-    /// Garbage collections run.
-    pub gc_collections: u64,
-    /// Total wall-clock time spent inside the collector, in nanoseconds.
-    pub gc_pause_ns: u64,
-    /// Longest single collection pause, in nanoseconds. A running maximum,
-    /// not a counter: [`VmStats::delta_since`] carries the later value
-    /// through unchanged.
-    pub gc_max_pause_ns: u64,
-    /// Heap objects freed by collections (GC volume).
-    pub gc_objects_freed: u64,
-    /// Scheme conditions raised (via `raise`/`raise-continuable` or a
-    /// guarded fault such as `out-of-memory`).
-    pub conditions_raised: u64,
-    /// Injected faults consumed from a [`FaultPlan`] by this VM.
-    pub faults_injected: u64,
-    /// Size of one [`Value`] word in bytes. A gauge (always
-    /// `size_of::<Value>()`, 8 with the NaN-boxed representation), recorded
-    /// so metrics documents are self-describing across representation
-    /// changes.
-    pub value_word_bytes: u64,
-    /// High-water mark of resident stack-segment memory, in bytes
-    /// (resident slots x `size_of::<Slot>()`). A running maximum like
-    /// `gc_max_pause_ns`: [`VmStats::delta_since`] carries the later value
-    /// through unchanged.
-    pub segment_bytes_highwater: u64,
-    /// Link units currently resident: one per [`Vm::load_program`] (or
-    /// other link) whose code a collection has not yet found unreachable.
-    /// A gauge, carried through [`VmStats::delta_since`] unchanged.
-    pub code_units_live: u64,
-    /// Length of the flat instruction arena, in instructions: the code
-    /// memory held, live units and reusable free ranges alike. A gauge,
-    /// carried through [`VmStats::delta_since`] unchanged.
-    pub code_ops_resident: u64,
-    /// Link units created: one per [`Vm::load_program`], `eval`, and
-    /// uncached [`Vm::load_shared`] (a cache hit links nothing).
-    pub code_links: u64,
-    /// Heap statistics snapshot.
-    pub heap: HeapStats,
-    /// Segmented-stack statistics snapshot.
-    pub stack: Stats,
-}
-
-impl VmStats {
-    /// Counter-wise difference for measuring a region. (`gc_max_pause_ns`
-    /// is a running maximum and is carried through, not subtracted.)
-    #[must_use]
-    pub fn delta_since(&self, earlier: &VmStats) -> VmStats {
-        VmStats {
-            instructions: self.instructions - earlier.instructions,
-            calls: self.calls - earlier.calls,
-            gc_collections: self.gc_collections - earlier.gc_collections,
-            gc_pause_ns: self.gc_pause_ns - earlier.gc_pause_ns,
-            gc_max_pause_ns: self.gc_max_pause_ns,
-            gc_objects_freed: self.gc_objects_freed - earlier.gc_objects_freed,
-            conditions_raised: self.conditions_raised - earlier.conditions_raised,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            value_word_bytes: self.value_word_bytes,
-            segment_bytes_highwater: self.segment_bytes_highwater,
-            code_units_live: self.code_units_live,
-            code_ops_resident: self.code_ops_resident,
-            code_links: self.code_links - earlier.code_links,
-            heap: self.heap.delta_since(&earlier.heap),
-            stack: self.stack.delta_since(&earlier.stack),
-        }
+oneshot_core::counters! {
+    /// Aggregated statistics: instruction counts plus heap and stack counters.
+    #[derive(Debug, Clone, Copy, Default)]
+    #[non_exhaustive]
+    pub struct VmStats {
+        /// Bytecode instructions executed.
+        counter instructions: u64,
+        /// Procedure calls performed (closures, builtins, continuations).
+        counter calls: u64,
+        /// Garbage collections run.
+        counter gc_collections: u64,
+        /// Total wall-clock time spent inside the collector, in nanoseconds.
+        counter gc_pause_ns: u64,
+        /// Longest single collection pause, in nanoseconds.
+        peak gc_max_pause_ns: u64,
+        /// Heap objects freed by collections (GC volume).
+        counter gc_objects_freed: u64,
+        /// Scheme conditions raised (via `raise`/`raise-continuable` or a
+        /// guarded fault such as `out-of-memory`).
+        counter conditions_raised: u64,
+        /// Injected faults consumed from a [`FaultPlan`] by this VM.
+        counter faults_injected: u64,
+        /// Size of one [`Value`] word in bytes (always
+        /// `size_of::<Value>()`, 8 with the NaN-boxed representation),
+        /// recorded so metrics documents are self-describing across
+        /// representation changes.
+        gauge value_word_bytes: u64,
+        /// High-water mark of resident stack-segment memory, in bytes
+        /// (resident slots x `size_of::<Slot>()`).
+        peak segment_bytes_highwater: u64,
+        /// Link units currently resident: one per [`Vm::load_program`] (or
+        /// other link) whose code a collection has not yet found unreachable.
+        gauge code_units_live: u64,
+        /// Length of the flat instruction arena, in instructions: the code
+        /// memory held, live units and reusable free ranges alike.
+        gauge code_ops_resident: u64,
+        /// Link units created: one per [`Vm::load_program`], `eval`, and
+        /// uncached [`Vm::load_shared`] (a cache hit links nothing).
+        counter code_links: u64,
+        /// Heap statistics snapshot.
+        nested heap: HeapStats,
+        /// Segmented-stack statistics snapshot.
+        nested stack: Stats,
     }
 }
 

@@ -42,17 +42,21 @@
 //! Alongside the printed tables the binary writes a machine-readable
 //! report — per-experiment control-event counts (captures, reinstatements,
 //! overflows, slots copied, ...) next to every wall-clock number — to
-//! `experiments.json`, or to the path given with `--json PATH`.
+//! `experiments.json`, or to the path given with `--json PATH`. Both come
+//! from each row type's one column declaration ([`Row`]).
+//!
+//! An unknown experiment, an unknown flag, or a flag missing its value
+//! exits with status 2; a report that cannot be written exits with 1.
 
 use oneshot_bench::experiments::{
     cache_experiment, chaos_experiment, chaos_overhead, dispatch_experiment, e15_experiment,
     e16_experiment, e17_experiment, exec_experiment, figure5, fragmentation_experiment,
     frame_overhead, gc_experiment, hysteresis_experiment, overflow_experiment,
     promotion_experiment, reactor_experiment, tak_experiment, value_rep_experiment, DispatchScale,
-    E15Scale, E16Scale, E17Scale, ExecScale, GcScale, ReactorScale, GC_UNBOUNDED,
+    E15Scale, E16Scale, E17Scale, ExecScale, GcScale, ReactorScale,
 };
 use oneshot_bench::measure::render_table;
-use oneshot_bench::metrics::{measurement_json, Json};
+use oneshot_bench::metrics::{Cell, Col, Json, Report, Row};
 use oneshot_threads::Strategy;
 
 struct Scale {
@@ -88,117 +92,101 @@ impl Scale {
     }
 }
 
+/// The parsed command line.
+struct Opts {
+    paper: bool,
+    scale: Scale,
+    max_workers: Option<usize>,
+    baseline: Option<String>,
+    max_fds: usize,
+}
+
+/// Runs one experiment: prints its tables and prose, returns its JSON.
+type Runner = fn(&Opts) -> Json;
+
+/// Every experiment: its command, its key in `experiments.json`, and its
+/// runner. `all` runs them in this order.
+const COMMANDS: &[(&str, &str, Runner)] = &[
+    ("tak", "tak", |o| run_tak(&o.scale)),
+    ("overflow", "overflow", |o| run_overflow(&o.scale)),
+    ("frames", "frames", |_| run_frames()),
+    ("cache", "cache", |o| run_cache(&o.scale)),
+    ("hysteresis", "hysteresis", |_| run_hysteresis()),
+    ("fragmentation", "fragmentation", |_| run_fragmentation()),
+    ("promotion", "promotion", |_| run_promotion()),
+    ("dispatch", "dispatch", |o| run_dispatch(o.paper)),
+    ("gc", "gc", |o| run_gc(o.paper)),
+    ("e11", "exec", |o| run_exec(o.paper, o.max_workers)),
+    ("chaos", "chaos", |o| run_chaos(o.paper)),
+    ("e13", "reactor", |o| run_reactor(o.paper, o.max_workers)),
+    ("e14", "value_rep", |o| run_value_rep(o.paper, o.baseline.as_deref())),
+    ("e15", "reactor_scaling", |o| run_e15(o.paper, o.max_workers, o.max_fds)),
+    ("e16", "delimited", |o| run_e16(o.paper)),
+    ("e17", "fault_tolerance", |o| run_e17(o.paper, o.max_workers)),
+    ("figure5", "figure5", |o| run_figure5(&o.scale)),
+];
+
+/// Prints `msg` and exits 2, the usage-error status.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper = args.iter().any(|a| a == "--paper");
-    let scale = if paper { Scale::paper() } else { Scale::quick() };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "experiments.json".to_string());
-    let max_workers: Option<usize> = args
-        .iter()
-        .position(|a| a == "--max-workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let baseline: Option<String> =
-        args.iter().position(|a| a == "--baseline").and_then(|i| args.get(i + 1)).cloned();
-    let max_fds: usize = args
-        .iter()
-        .position(|a| a == "--max-fds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(default_max_fds);
-    let cmd = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // Skip flags and the value of any value-taking flag.
-            !a.starts_with("--")
-                && !matches!(
-                    args.get(i.wrapping_sub(1)).map(String::as_str),
-                    Some("--json" | "--max-workers" | "--baseline" | "--max-fds")
-                )
-        })
-        .map(|(_, a)| a.as_str())
-        .next()
-        .unwrap_or("all");
-
-    let mut report: Vec<(String, Json)> = Vec::new();
-    let mut run = |name: &str, result: Json| report.push((name.to_string(), result));
-
-    match cmd {
-        "figure5" => run("figure5", run_figure5(&scale)),
-        "tak" => run("tak", run_tak(&scale)),
-        "overflow" => run("overflow", run_overflow(&scale)),
-        "frames" => run("frames", run_frames()),
-        "cache" => run("cache", run_cache(&scale)),
-        "hysteresis" => run("hysteresis", run_hysteresis()),
-        "fragmentation" => run("fragmentation", run_fragmentation()),
-        "promotion" => run("promotion", run_promotion()),
-        "dispatch" => run("dispatch", run_dispatch(paper)),
-        "gc" => run("gc", run_gc(paper)),
-        "e11" => run("exec", run_exec(paper, max_workers)),
-        "chaos" => run("chaos", run_chaos(paper)),
-        "e13" => run("reactor", run_reactor(paper, max_workers)),
-        "e14" => run("value_rep", run_value_rep(paper, baseline.as_deref())),
-        "e15" => run("reactor_scaling", run_e15(paper, max_workers, max_fds)),
-        "e16" => run("delimited", run_e16(paper)),
-        "e17" => run("fault_tolerance", run_e17(paper, max_workers)),
-        "all" => {
-            run("tak", run_tak(&scale));
-            run("overflow", run_overflow(&scale));
-            run("frames", run_frames());
-            run("cache", run_cache(&scale));
-            run("hysteresis", run_hysteresis());
-            run("fragmentation", run_fragmentation());
-            run("promotion", run_promotion());
-            run("dispatch", run_dispatch(paper));
-            run("gc", run_gc(paper));
-            run("exec", run_exec(paper, max_workers));
-            run("chaos", run_chaos(paper));
-            run("reactor", run_reactor(paper, max_workers));
-            run("value_rep", run_value_rep(paper, baseline.as_deref()));
-            run("reactor_scaling", run_e15(paper, max_workers, max_fds));
-            run("delimited", run_e16(paper));
-            run("fault_tolerance", run_e17(paper, max_workers));
-            run("figure5", run_figure5(&scale));
-        }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            std::process::exit(2);
+    let mut args = std::env::args().skip(1);
+    let (mut paper, mut cmd, mut json_path) = (false, None, "experiments.json".to_string());
+    let (mut max_workers, mut baseline, mut max_fds) = (None, None, None);
+    while let Some(arg) = args.next() {
+        let mut value =
+            || args.next().unwrap_or_else(|| usage_error(&format!("{arg} needs a value")));
+        let number = |v: String| -> usize {
+            v.parse().unwrap_or_else(|_| usage_error(&format!("{arg} needs a number, got {v:?}")))
+        };
+        match arg.as_str() {
+            "--paper" => paper = true,
+            "--json" => json_path = value(),
+            "--max-workers" => max_workers = Some(number(value())),
+            "--baseline" => baseline = Some(value()),
+            "--max-fds" => max_fds = Some(number(value())),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
+            _ if cmd.is_none() => cmd = Some(arg),
+            _ => usage_error(&format!("unexpected argument {arg:?}")),
         }
     }
+    let opts = Opts {
+        paper,
+        scale: if paper { Scale::paper() } else { Scale::quick() },
+        max_workers,
+        baseline,
+        max_fds: max_fds.unwrap_or_else(default_max_fds),
+    };
+    let cmd = cmd.unwrap_or_else(|| "all".to_string());
+    let selected: Vec<_> =
+        COMMANDS.iter().filter(|(name, ..)| cmd == "all" || cmd == *name).collect();
+    if selected.is_empty() {
+        usage_error(&format!("unknown experiment {cmd:?}"));
+    }
+    let report: Vec<(String, Json)> =
+        selected.iter().map(|(_, key, run)| (key.to_string(), run(&opts))).collect();
 
     let doc = Json::obj([
         ("schema", Json::str("oneshot-experiments/v10")),
         ("scale", Json::str(if paper { "paper" } else { "quick" })),
         ("experiments", Json::Obj(report)),
     ]);
-    match std::fs::write(&json_path, doc.render()) {
-        Ok(()) => println!("\nwrote {json_path}"),
-        Err(e) => eprintln!("\ncould not write {json_path}: {e}"),
+    if let Err(e) = std::fs::write(&json_path, doc.render()) {
+        eprintln!("\ncould not write {json_path}: {e}");
+        std::process::exit(1);
     }
+    println!("\nwrote {json_path}");
 }
 
 fn run_figure5(scale: &Scale) -> Json {
     println!("\n== E1 / Figure 5: thread systems (fib {} per thread; times in ms) ==", scale.fib_n);
-    let mut points_json = Vec::new();
+    let mut all_points = Vec::new();
     for &threads in &scale.threads {
         println!("\n-- {threads} threads --");
         let points = figure5(&[threads], &scale.freqs, scale.fib_n);
-        for p in &points {
-            points_json.push(Json::obj([
-                ("threads", Json::int(p.threads as u64)),
-                ("calls_per_switch", Json::int(p.freq)),
-                ("strategy", Json::str(p.strategy.label())),
-                ("ms", Json::Num(p.ms)),
-                ("slots_copied", Json::int(p.slots_copied)),
-                ("closures", Json::int(p.closures)),
-            ]));
-        }
         let mut rows = Vec::new();
         for &freq in &scale.freqs {
             let get = |s: Strategy| {
@@ -226,63 +214,25 @@ fn run_figure5(scale: &Scale) -> Json {
             "{}",
             render_table(&["calls/switch", "cps", "call/cc", "call/1cc", "fastest"], &rows)
         );
+        all_points.extend(points);
     }
     println!("Expected shape: call/1cc <= call/cc everywhere; CPS wins only at the");
     println!("most rapid switch rates (paper: more often than every 4-8 calls).");
-    Json::obj([("fib_n", Json::int(u64::from(scale.fib_n))), ("points", Json::Arr(points_json))])
+    Json::obj([
+        ("fib_n", Json::int(u64::from(scale.fib_n))),
+        ("points", Report::new(&all_points).json()),
+    ])
 }
 
 fn run_tak(scale: &Scale) -> Json {
     let (x, y, z) = scale.tak;
     println!("\n== E2 / §4: (ctak {x} {y} {z}) — capture+invoke per call ==");
-    let rows = tak_experiment(x, y, z);
-    let base = rows[0].m.ms();
-    let base_words = rows[0].m.words_allocated();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.op.to_string(),
-                format!("{:.1}", r.m.ms()),
-                format!("{:.0}%", 100.0 * r.m.ms() / base),
-                r.m.words_allocated().to_string(),
-                format!("{:.0}%", 100.0 * r.m.words_allocated() as f64 / base_words as f64),
-                r.m.delta.stack.segment_slots_allocated.to_string(),
-                r.m.delta.stack.slots_copied.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "operator",
-                "ms",
-                "rel-time",
-                "words-alloc",
-                "rel-alloc",
-                "stack-words",
-                "slots-copied"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&tak_experiment(x, y, z));
+    println!("{}", report.table());
     println!("Paper: call/1cc 13% faster, 23% less allocation.");
     Json::obj([
         ("args", Json::Arr(vec![Json::int(x as u64), Json::int(y as u64), Json::int(z as u64)])),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("operator", Json::str(r.op)),
-                            ("measurement", measurement_json(&r.m)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -291,180 +241,50 @@ fn run_overflow(scale: &Scale) -> Json {
         "\n== E3 / §4: deep recursion ({} rounds x depth {}), overflow policy ==",
         scale.deep_rounds, scale.deep_depth
     );
-    let rows = overflow_experiment(scale.deep_rounds, scale.deep_depth);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:?}", r.policy),
-                format!("{:.1}", r.m.ms()),
-                r.m.delta.stack.slots_copied.to_string(),
-                r.m.delta.stack.segments_allocated.to_string(),
-                r.m.delta.stack.cache_hits.to_string(),
-                r.m.words_allocated().to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["overflow-as", "ms", "slots-copied", "segments", "cache-hits", "words-alloc"],
-            &table
-        )
-    );
+    let report = Report::new(&overflow_experiment(scale.deep_rounds, scale.deep_depth));
+    println!("{}", report.table());
     println!("Paper: one-shot overflow handling ~300% faster on this extreme case,");
     println!("allocating almost nothing after the first round (cache hits).");
     Json::obj([
         ("rounds", Json::int(scale.deep_rounds)),
         ("depth", Json::int(scale.deep_depth)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("overflow_as", Json::str(format!("{:?}", r.policy))),
-                            ("measurement", measurement_json(&r.m)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
 fn run_frames() -> Json {
     println!("\n== E4 / §5: closure-creation overhead per frame, direct vs CPS ==");
-    let rows = frame_overhead();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                format!("{:?}", r.pipeline),
-                r.calls.to_string(),
-                r.closures.to_string(),
-                format!("{:.3}", r.closures_per_call()),
-                format!("{:.1}", r.instructions as f64 / r.calls.max(1) as f64),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["program", "pipeline", "calls", "closures", "closures/call", "ops/call"],
-            &table
-        )
-    );
+    let report = Report::new(&frame_overhead());
+    println!("{}", report.table());
     println!("Paper (vs Appel-Shao): the stack compiler's closure overhead is ~0");
     println!("(boyer allocates no closures at all); CPS pays >=1 per non-tail call.");
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("program", Json::str(r.name)),
-                    ("pipeline", Json::str(format!("{:?}", r.pipeline))),
-                    ("calls", Json::int(r.calls)),
-                    ("closures", Json::int(r.closures)),
-                    ("instructions", Json::int(r.instructions)),
-                    ("closures_per_call", Json::Num(r.closures_per_call())),
-                ])
-            })
-            .collect(),
-    )
+    report.json()
 }
 
 fn run_cache(scale: &Scale) -> Json {
     let (x, y, z) = scale.tak;
     println!("\n== E5 / §3.2 ablation: segment cache, (ctak {x} {y} {z}) with call/1cc ==");
-    let rows = cache_experiment(x, y, z);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                if r.cache_limit == 0 {
-                    "disabled".into()
-                } else {
-                    format!("{} segments", r.cache_limit)
-                },
-                format!("{:.1}", r.m.ms()),
-                r.m.delta.stack.segments_allocated.to_string(),
-                r.m.delta.stack.cache_hits.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&["cache", "ms", "segments-allocated", "cache-hits"], &table));
+    let report = Report::new(&cache_experiment(x, y, z));
+    println!("{}", report.table());
     println!("Paper: without the cache, call/1cc programs were \"unacceptably slow\".");
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("cache_limit", Json::int(r.cache_limit as u64)),
-                    ("measurement", measurement_json(&r.m)),
-                ])
-            })
-            .collect(),
-    )
+    report.json()
 }
 
 fn run_hysteresis() -> Json {
     println!("\n== E6 / §3.2 ablation: overflow hysteresis (boundary-hovering recursion) ==");
-    let rows = hysteresis_experiment(20_000);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{} slots", r.hysteresis),
-                format!("{:.1}", r.m.ms()),
-                r.m.delta.stack.overflows.to_string(),
-                r.m.delta.stack.slots_copied.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&["hysteresis", "ms", "overflows", "slots-copied"], &table));
+    let report = Report::new(&hysteresis_experiment(20_000));
+    println!("{}", report.table());
     println!("Paper: copying up a few frames on overflow prevents bouncing.");
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("hysteresis_slots", Json::int(r.hysteresis as u64)),
-                    ("measurement", measurement_json(&r.m)),
-                ])
-            })
-            .collect(),
-    )
+    report.json()
 }
 
 fn run_fragmentation() -> Json {
     println!("\n== E7 / §3.4: resident stack memory for 100 call/1cc threads ==");
-    let rows = fragmentation_experiment(100);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            // A slot models a 4-byte word, matching the paper's 16 KB /
-            // 4096-word default segments.
-            vec![
-                format!("{:?}", r.policy),
-                r.konts.to_string(),
-                r.resident_slots.to_string(),
-                format!("{:.2} MB", r.resident_slots as f64 * 4.0 / 1e6),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&["policy", "threads", "resident-slots", "~bytes"], &table));
+    let report = Report::new(&fragmentation_experiment(100));
+    println!("{}", report.table());
     println!("Paper: 100 threads x 16KB default stacks = 1.6MB mostly wasted;");
     println!("sealing at a displacement above the occupied portion bounds it.");
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("policy", Json::str(format!("{:?}", r.policy))),
-                    ("threads", Json::int(r.konts as u64)),
-                    ("resident_slots", Json::int(r.resident_slots as u64)),
-                ])
-            })
-            .collect(),
-    )
+    report.json()
 }
 
 fn run_dispatch(paper: bool) -> Json {
@@ -539,50 +359,8 @@ fn run_gc(paper: bool) -> Json {
     let scale = if paper { GcScale::paper() } else { GcScale::quick() };
     println!("\n== E10: segregated-pool heap — collection-threshold sweep ==");
     let rows = gc_experiment(&scale);
-    let threshold_label = |t: usize| {
-        if t >= GC_UNBOUNDED {
-            "unbounded".to_string()
-        } else {
-            t.to_string()
-        }
-    };
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                threshold_label(r.gc_threshold),
-                format!("{:.1}", r.ms),
-                r.words_allocated.to_string(),
-                r.objects_allocated.to_string(),
-                r.collections.to_string(),
-                r.objects_freed.to_string(),
-                format!("{:.2}", r.sweep_ns as f64 / 1e6),
-                format!("{:.2}", r.max_pause_ns as f64 / 1e6),
-                r.live_after.to_string(),
-                if r.leaked { "LEAK" } else { "ok" }.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "threshold",
-                "ms",
-                "words-alloc",
-                "objects",
-                "collections",
-                "freed",
-                "sweep-ms",
-                "max-pause-ms",
-                "live-after",
-                "leak"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     println!("Expected shape: identical results and allocation volume down each");
     println!("workload's column; only collections/sweep time vary with the threshold.");
     for r in &rows {
@@ -590,36 +368,7 @@ fn run_gc(paper: bool) -> Json {
     }
     Json::obj([
         ("scale", Json::str(if paper { "paper" } else { "quick" })),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workload", Json::str(r.name)),
-                            (
-                                "gc_threshold",
-                                if r.gc_threshold >= GC_UNBOUNDED {
-                                    Json::str("unbounded")
-                                } else {
-                                    Json::int(r.gc_threshold as u64)
-                                },
-                            ),
-                            ("ms", Json::Num(r.ms)),
-                            ("result", Json::str(r.result.clone())),
-                            ("words_allocated", Json::int(r.words_allocated)),
-                            ("objects_allocated", Json::int(r.objects_allocated)),
-                            ("objects_freed", Json::int(r.objects_freed)),
-                            ("collections", Json::int(r.collections)),
-                            ("sweep_ns", Json::int(r.sweep_ns)),
-                            ("max_pause_ns", Json::int(r.max_pause_ns)),
-                            ("live_after", Json::int(r.live_after as u64)),
-                            ("leaked", Json::Bool(r.leaked)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -634,41 +383,8 @@ fn run_exec(paper: bool, max_workers: Option<usize>) -> Json {
         scale.jobs()
     );
     let rows = exec_experiment(&scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                r.fuel_slice.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.1}", r.throughput),
-                format!("{:.1}", r.p50_ms),
-                format!("{:.1}", r.p99_ms),
-                r.steals.to_string(),
-                r.requeues.to_string(),
-                r.slices.to_string(),
-                r.slots_copied.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workers",
-                "fuel-slice",
-                "wall-ms",
-                "jobs/s",
-                "p50-ms",
-                "p99-ms",
-                "steals",
-                "requeues",
-                "slices",
-                "slots-copied"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     if let Some(one) = rows.iter().find(|r| r.workers == 1) {
         let widest = rows
             .iter()
@@ -692,36 +408,7 @@ fn run_exec(paper: bool, max_workers: Option<usize>) -> Json {
         ("scale", Json::str(if paper { "paper" } else { "quick" })),
         ("cores", Json::int(cores as u64)),
         ("jobs_per_cell", Json::int(scale.jobs() as u64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workers", Json::int(r.workers as u64)),
-                            ("fuel_slice", Json::int(r.fuel_slice)),
-                            ("jobs", Json::int(r.jobs as u64)),
-                            ("wall_ms", Json::Num(r.wall_ms)),
-                            ("throughput_jobs_per_s", Json::Num(r.throughput)),
-                            ("p50_ms", Json::Num(r.p50_ms)),
-                            ("p99_ms", Json::Num(r.p99_ms)),
-                            ("completed", Json::int(r.completed)),
-                            ("failed", Json::int(r.failed)),
-                            ("timed_out", Json::int(r.timed_out)),
-                            ("panicked", Json::int(r.panicked)),
-                            ("steals", Json::int(r.steals)),
-                            ("requeues", Json::int(r.requeues)),
-                            ("slices", Json::int(r.slices)),
-                            ("queue_depth_highwater", Json::int(r.queue_depth_highwater)),
-                            ("instructions", Json::int(r.instructions)),
-                            ("captures_one", Json::int(r.captures_one)),
-                            ("reinstates_one", Json::int(r.reinstates_one)),
-                            ("slots_copied", Json::int(r.slots_copied)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -732,42 +419,8 @@ fn run_chaos(paper: bool) -> Json {
         "\n== E12: chaos sweep — {} seeded fault schedules per cell, workload x horizon ==",
         seeds
     );
-    let rows = chaos_experiment(horizons, seeds);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.to_string(),
-                r.horizon.to_string(),
-                r.runs.to_string(),
-                r.clean.to_string(),
-                r.recovered.to_string(),
-                r.uncaught.to_string(),
-                format!("{:.2}", r.recovery_rate()),
-                r.faults_injected.to_string(),
-                r.conditions_raised.to_string(),
-                format!("{:.1}", r.wall_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "horizon",
-                "runs",
-                "clean",
-                "recovered",
-                "uncaught",
-                "recovery",
-                "faults",
-                "conditions",
-                "wall-ms"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&chaos_experiment(horizons, seeds));
+    println!("{}", report.table());
     let (baseline_ms, guarded_ms) = chaos_overhead(if paper { 200 } else { 40 });
     println!(
         "Guard overhead (armed, never tripping): {baseline_ms:.3} ms -> {guarded_ms:.3} ms \
@@ -782,27 +435,7 @@ fn run_chaos(paper: bool) -> Json {
         ("seeds_per_cell", Json::int(seeds)),
         ("overhead_baseline_ms", Json::Num(baseline_ms)),
         ("overhead_guarded_ms", Json::Num(guarded_ms)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workload", Json::str(r.workload)),
-                            ("horizon", Json::int(r.horizon)),
-                            ("runs", Json::int(r.runs)),
-                            ("clean", Json::int(r.clean)),
-                            ("recovered", Json::int(r.recovered)),
-                            ("uncaught", Json::int(r.uncaught)),
-                            ("recovery_rate", Json::Num(r.recovery_rate())),
-                            ("faults_injected", Json::int(r.faults_injected)),
-                            ("conditions_raised", Json::int(r.conditions_raised)),
-                            ("wall_ms", Json::Num(r.wall_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -817,45 +450,8 @@ fn run_reactor(paper: bool, max_workers: Option<usize>) -> Json {
         scale.echo_rounds
     );
     let rows = reactor_experiment(&scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                r.workers.to_string(),
-                r.green_threads.to_string(),
-                r.ops.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.0}", r.throughput),
-                format!("{:.2}", r.p50_us / 1e3),
-                format!("{:.2}", r.p99_us / 1e3),
-                format!("{:.2}", r.max_us / 1e3),
-                r.blocked_highwater.to_string(),
-                r.io_wakeups.to_string(),
-                format!("{}/{}", r.leaked_sockets, r.live_segments),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "mode",
-                "workers",
-                "green-threads",
-                "ops",
-                "wall-ms",
-                "ops/s",
-                "p50-ms",
-                "p99-ms",
-                "max-ms",
-                "blocked-hw",
-                "wakeups",
-                "leaks(fd/seg)"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     if let Some(peak) = rows.iter().max_by_key(|r| r.green_threads) {
         println!(
             "Peak concurrency: {} green threads ({}) on {} worker(s); \
@@ -872,35 +468,7 @@ fn run_reactor(paper: bool, max_workers: Option<usize>) -> Json {
         ("scale", Json::str(if paper { "paper" } else { "quick" })),
         ("cores", Json::int(cores as u64)),
         ("echo_rounds", Json::int(scale.echo_rounds as u64)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("mode", Json::str(r.mode)),
-                            ("reactor_backend", Json::str(r.backend)),
-                            ("workers", Json::int(r.workers as u64)),
-                            ("green_threads", Json::int(r.green_threads as u64)),
-                            ("ops", Json::int(r.ops as u64)),
-                            ("wall_ms", Json::Num(r.wall_ms)),
-                            ("throughput_ops_per_s", Json::Num(r.throughput)),
-                            ("p50_us", Json::Num(r.p50_us)),
-                            ("p99_us", Json::Num(r.p99_us)),
-                            ("max_us", Json::Num(r.max_us)),
-                            ("completed", Json::int(r.completed)),
-                            ("failed", Json::int(r.failed)),
-                            ("io_blocked", Json::int(r.io_blocked)),
-                            ("io_wakeups", Json::int(r.io_wakeups)),
-                            ("timer_waits", Json::int(r.timer_waits)),
-                            ("blocked_highwater", Json::int(r.blocked_highwater)),
-                            ("leaked_sockets", Json::int(r.leaked_sockets.max(0) as u64)),
-                            ("live_segments", Json::int(r.live_segments.max(0) as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -929,51 +497,8 @@ fn run_e15(paper: bool, max_workers: Option<usize>, max_fds: usize) -> Json {
          {storm_jobs}x{storm_waits} timer waits @ {storm_wait_ms} ms, {cores} core(s) =="
     );
     let rows = e15_experiment(&scale, max_fds);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                r.backend.to_string(),
-                r.workers.to_string(),
-                if r.actual == r.requested {
-                    r.actual.to_string()
-                } else {
-                    format!("{} (req {})", r.actual, r.requested)
-                },
-                r.ops.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.0}", r.throughput),
-                format!("{:.0}", r.p50_us),
-                format!("{:.0}", r.p99_us),
-                format!("{:.0}", r.max_us),
-                r.blocked_highwater.to_string(),
-                r.resume_depth_highwater.to_string(),
-                format!("{}/{}", r.leaked_sockets, r.live_segments),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "mode",
-                "backend",
-                "workers",
-                "n",
-                "ops",
-                "wall-ms",
-                "ops/s",
-                "p50-us",
-                "p99-us",
-                "max-us",
-                "blocked-hw",
-                "resume-hw",
-                "leaks(fd/seg)"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     // The headline curve: probe round-trip p50 as the parked-fd count
     // grows — poll's wake cost is O(blocked), epoll's O(ready).
     for backend in ["poll", "epoll"] {
@@ -1061,53 +586,9 @@ fn run_e15(paper: bool, max_workers: Option<usize>, max_fds: usize) -> Json {
         ("max_fds", Json::int(max_fds as u64)),
         (
             "wake_lateness_bounds_ms",
-            Json::Arr(
-                oneshot_exec::WAKE_LATENESS_BUCKETS_MS.iter().map(|&b| Json::int(b)).collect(),
-            ),
+            Cell::Ints(oneshot_exec::WAKE_LATENESS_BUCKETS_MS.to_vec()).json(),
         ),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("mode", Json::str(r.mode)),
-                            ("reactor_backend", Json::str(r.backend)),
-                            ("workers", Json::int(r.workers as u64)),
-                            ("requested", Json::int(r.requested as u64)),
-                            ("actual", Json::int(r.actual as u64)),
-                            ("ops", Json::int(r.ops as u64)),
-                            ("wall_ms", Json::Num(r.wall_ms)),
-                            ("throughput_ops_per_s", Json::Num(r.throughput)),
-                            ("p50_us", Json::Num(r.p50_us)),
-                            ("p99_us", Json::Num(r.p99_us)),
-                            ("max_us", Json::Num(r.max_us)),
-                            ("completed", Json::int(r.completed)),
-                            ("failed", Json::int(r.failed)),
-                            ("io_blocked", Json::int(r.io_blocked)),
-                            ("io_wakeups", Json::int(r.io_wakeups)),
-                            ("timer_waits", Json::int(r.timer_waits)),
-                            ("blocked_highwater", Json::int(r.blocked_highwater)),
-                            ("resume_depth_highwater", Json::int(r.resume_depth_highwater)),
-                            (
-                                "accepts_per_worker",
-                                Json::Arr(
-                                    r.accepts_per_worker.iter().map(|&n| Json::int(n)).collect(),
-                                ),
-                            ),
-                            ("accept_queue_highwater", Json::int(r.accept_queue_highwater)),
-                            (
-                                "wake_lateness",
-                                Json::Arr(r.wake_lateness.iter().map(|&n| Json::int(n)).collect()),
-                            ),
-                            ("instructions", Json::int(r.instructions)),
-                            ("leaked_sockets", Json::int(r.leaked_sockets.max(0) as u64)),
-                            ("live_segments", Json::int(r.live_segments.max(0) as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", report.json()),
     ])
 }
 
@@ -1123,39 +604,8 @@ fn run_e16(paper: bool) -> Json {
         scale.sampler_depth
     );
     let rows = e16_experiment(scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.to_string(),
-                r.encoding.to_string(),
-                format!("{:.1}", r.m.ms()),
-                r.m.delta.instructions.to_string(),
-                r.captured_bytes().to_string(),
-                r.m.delta.stack.prompts_pushed.to_string(),
-                r.m.delta.stack.subconts_taken.to_string(),
-                (r.m.delta.stack.captures_one + r.m.delta.stack.captures_multi).to_string(),
-                if r.leaked { "LEAK".to_string() } else { "0".to_string() },
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "encoding",
-                "ms",
-                "instructions",
-                "captured-bytes",
-                "prompts",
-                "takes",
-                "captures",
-                "leaks"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     // The differential and the headline ratios, per workload pair.
     let mut pairs_json = Vec::new();
     for pair in rows.chunks(2) {
@@ -1184,28 +634,7 @@ fn run_e16(paper: bool) -> Json {
          suspension-dominated workloads (pipeline, generator) — the delimited \
          take seals only the producer's slice, the full capture the whole span."
     );
-    Json::obj([
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workload", Json::str(r.workload)),
-                            ("encoding", Json::str(r.encoding)),
-                            ("answer", Json::str(r.answer.clone())),
-                            ("captured_bytes", Json::int(r.captured_bytes())),
-                            ("live_after", Json::int(r.live_after as u64)),
-                            ("live_segments_after", Json::int(r.live_segments_after as u64)),
-                            ("leaked", Json::Bool(r.leaked)),
-                            ("measurement", measurement_json(&r.m)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("differential", Json::Arr(pairs_json)),
-    ])
+    Json::obj([("rows", report.json()), ("differential", Json::Arr(pairs_json))])
 }
 
 fn run_e17(paper: bool, max_workers: Option<usize>) -> Json {
@@ -1219,47 +648,8 @@ fn run_e17(paper: bool, max_workers: Option<usize>) -> Json {
         scale.seeds, scale.horizon, scale.conns, scale.workers, scale.overload_burst
     );
     let rows = e17_experiment(&scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.to_string(),
-                r.backend.to_string(),
-                r.seeds.to_string(),
-                r.conns.to_string(),
-                format!("{}/{}", r.answered, r.degraded),
-                format!("{}/{}", r.completed, r.failed),
-                r.retried.to_string(),
-                r.faults_injected.to_string(),
-                r.io_timeouts.to_string(),
-                r.accepts_shed.to_string(),
-                r.worker_restarts.to_string(),
-                r.leaked_sockets.to_string(),
-                format!("{:.0}", r.wall_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "mode",
-                "backend",
-                "seeds",
-                "conns",
-                "ans/deg",
-                "done/fail",
-                "retried",
-                "faults",
-                "io-to",
-                "shed",
-                "restarts",
-                "leaks",
-                "wall-ms"
-            ],
-            &table
-        )
-    );
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     for backend in ["poll", "epoll"] {
         if let Some(r) = rows.iter().find(|r| r.mode == "chaos-serve" && r.backend == backend) {
             println!(
@@ -1269,34 +659,7 @@ fn run_e17(paper: bool, max_workers: Option<usize>) -> Json {
             );
         }
     }
-    Json::obj([(
-        "rows",
-        Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj([
-                        ("mode", Json::str(r.mode)),
-                        ("backend", Json::str(r.backend)),
-                        ("seeds", Json::int(r.seeds)),
-                        ("conns", Json::int(r.conns as u64)),
-                        ("answered", Json::int(r.answered as u64)),
-                        ("degraded", Json::int(r.degraded as u64)),
-                        ("completed", Json::int(r.completed)),
-                        ("failed", Json::int(r.failed)),
-                        ("retried", Json::int(r.retried)),
-                        ("faults_injected", Json::int(r.faults_injected)),
-                        ("io_timeouts", Json::int(r.io_timeouts)),
-                        ("accepts_shed", Json::int(r.accepts_shed)),
-                        ("shed_duration_ns", Json::int(r.shed_duration_ns)),
-                        ("worker_restarts", Json::int(r.worker_restarts)),
-                        ("audit_jobs", Json::int(r.audit_jobs)),
-                        ("leaked_sockets", Json::int(r.leaked_sockets as u64)),
-                        ("wall_ms", Json::Num(r.wall_ms)),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
+    Json::obj([("rows", report.json())])
 }
 
 /// Pulls `(name, ms, instructions)` baseline rows out of an earlier
@@ -1338,10 +701,10 @@ fn baseline_workloads(doc: &Json) -> Vec<(String, f64, u64)> {
 fn run_value_rep(paper: bool, baseline: Option<&str>) -> Json {
     let scale = if paper { DispatchScale::paper() } else { DispatchScale::quick() };
     println!("\n== E14: value representation — NaN-boxed word on the paper workloads ==");
-    let report = value_rep_experiment(scale);
+    let measured = value_rep_experiment(scale);
     println!(
         "value word: {} bytes; stack slot: {} bytes; segment copy: {:.3} ns/slot",
-        report.value_word_bytes, report.slot_bytes, report.segment_copy_ns_per_slot
+        measured.value_word_bytes, measured.slot_bytes, measured.segment_copy_ns_per_slot
     );
     let base = baseline.map(|path| {
         let text = std::fs::read_to_string(path)
@@ -1353,22 +716,15 @@ fn run_value_rep(paper: bool, baseline: Option<&str>) -> Json {
         rows
     });
 
-    let mut table = Vec::new();
-    let mut rows_json = Vec::new();
     let mut speedups = Vec::new();
     let mut instructions_identical = true;
-    for r in &report.rows {
+    let report = Report::from_columns(measured.rows.iter().map(|r| {
         let found = base
             .as_deref()
             .and_then(|rows| rows.iter().find(|(name, _, _)| name == r.name))
             .map(|&(_, ms, instructions)| (ms, instructions));
-        let mut fields = vec![
-            ("name", Json::str(r.name)),
-            ("ms", Json::Num(r.ms)),
-            ("instructions", Json::int(r.instructions)),
-            ("ns_per_instruction", Json::Num(r.ns_per_instruction())),
-        ];
-        let (base_ms_s, speedup_s, instr_s) = if let Some((base_ms, base_instructions)) = found {
+        let mut cols = r.columns();
+        if let Some((base_ms, base_instructions)) = found {
             let speedup = base_ms / r.ms;
             // The representation must not change what the compiler emits
             // or how often control events fire — only how fast the same
@@ -1378,31 +734,19 @@ fn run_value_rep(paper: bool, baseline: Option<&str>) -> Json {
             let identical = base_instructions == r.instructions;
             instructions_identical &= identical;
             speedups.push(speedup);
-            fields.push(("baseline_ms", Json::Num(base_ms)));
-            fields.push(("baseline_instructions", Json::int(base_instructions)));
-            fields.push(("speedup", Json::Num(speedup)));
-            fields.push(("instructions_identical", Json::Bool(identical)));
-            (format!("{base_ms:.1}"), format!("{speedup:.2}x"), identical.to_string())
+            cols.extend([
+                Col::both("baseline_ms", "baseline-ms", Cell::Num(base_ms, 1)),
+                Col::json("baseline_instructions", base_instructions),
+                Col::json("speedup", Cell::Num(speedup, 2)),
+                Col::shown("speedup", format!("{speedup:.2}x")),
+                Col::both("instructions_identical", "instr-identical", identical),
+            ]);
         } else {
-            ("-".into(), "-".into(), "-".into())
-        };
-        table.push(vec![
-            r.name.to_string(),
-            format!("{:.1}", r.ms),
-            r.instructions.to_string(),
-            base_ms_s,
-            speedup_s,
-            instr_s,
-        ]);
-        rows_json.push(Json::obj(fields));
-    }
-    println!(
-        "{}",
-        render_table(
-            &["workload", "ms", "instructions", "baseline-ms", "speedup", "instr-identical"],
-            &table
-        )
-    );
+            cols.extend(["baseline-ms", "speedup", "instr-identical"].map(|h| Col::shown(h, "-")));
+        }
+        cols
+    }));
+    println!("{}", report.table());
 
     let geomean = (!speedups.is_empty()).then(|| {
         let log_sum: f64 = speedups.iter().map(|s| s.ln()).sum();
@@ -1424,10 +768,10 @@ fn run_value_rep(paper: bool, baseline: Option<&str>) -> Json {
     let mut fields = vec![
         ("scale", Json::str(if paper { "paper" } else { "quick" })),
         ("reps", Json::int(u64::from(scale.reps))),
-        ("value_word_bytes", Json::int(report.value_word_bytes)),
-        ("slot_bytes", Json::int(report.slot_bytes)),
-        ("segment_copy_ns_per_slot", Json::Num(report.segment_copy_ns_per_slot)),
-        ("rows", Json::Arr(rows_json)),
+        ("value_word_bytes", Json::int(measured.value_word_bytes)),
+        ("slot_bytes", Json::int(measured.slot_bytes)),
+        ("segment_copy_ns_per_slot", Json::Num(measured.segment_copy_ns_per_slot)),
+        ("rows", report.json()),
     ];
     if let Some(g) = geomean {
         fields.push(("geomean_speedup", Json::Num(g)));
@@ -1438,26 +782,10 @@ fn run_value_rep(paper: bool, baseline: Option<&str>) -> Json {
 
 fn run_promotion() -> Json {
     println!("\n== E8 / §3.3: promotion of one-shot chains by one call/cc ==");
-    let mut table = Vec::new();
-    let mut rows_json = Vec::new();
-    for chain in [10usize, 100, 1000] {
-        for r in promotion_experiment(chain) {
-            table.push(vec![
-                chain.to_string(),
-                format!("{:?}", r.strategy),
-                r.promotions.to_string(),
-                r.promotion_steps.to_string(),
-            ]);
-            rows_json.push(Json::obj([
-                ("chain_length", Json::int(chain as u64)),
-                ("strategy", Json::str(format!("{:?}", r.strategy))),
-                ("promotions", Json::int(r.promotions)),
-                ("promotion_steps", Json::int(r.promotion_steps)),
-            ]));
-        }
-    }
-    println!("{}", render_table(&["chain-length", "strategy", "promotions", "walk-steps"], &table));
+    let rows: Vec<_> = [10usize, 100, 1000].into_iter().flat_map(promotion_experiment).collect();
+    let report = Report::new(&rows);
+    println!("{}", report.table());
     println!("Paper: the eager walk is linear in the chain (amortized: each one-shot");
     println!("promotes once); the proposed shared flag promotes a whole chain in O(1).");
-    Json::Arr(rows_json)
+    report.json()
 }

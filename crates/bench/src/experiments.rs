@@ -8,6 +8,7 @@ use oneshot_threads::{Strategy, ThreadSystem};
 use oneshot_vm::{CompilerOptions, Pipeline, Vm, VmConfig};
 
 use crate::measure::{run_measured, Measurement};
+use crate::metrics::{Cell, Col, Row};
 use crate::workloads;
 
 fn vm_with(stack: Config) -> Vm {
@@ -33,6 +34,19 @@ pub struct Fig5Point {
     pub slots_copied: u64,
     /// Closures allocated during the run (large for CPS).
     pub closures: u64,
+}
+
+impl Row for Fig5Point {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::json("threads", self.threads),
+            Col::json("calls_per_switch", self.freq),
+            Col::json("strategy", self.strategy.label()),
+            Col::json("ms", Cell::Num(self.ms, 1)),
+            Col::json("slots_copied", self.slots_copied),
+            Col::json("closures", self.closures),
+        ]
+    }
 }
 
 /// Runs one Figure 5 configuration: `threads` threads each computing
@@ -96,6 +110,26 @@ pub struct TakRow {
     pub op: &'static str,
     /// Measurement for `(ctak x y z)`.
     pub m: Measurement,
+    /// Wall time relative to the first (call/cc) row.
+    pub rel_time: f64,
+    /// Words allocated relative to the first (call/cc) row.
+    pub rel_alloc: f64,
+}
+
+impl Row for TakRow {
+    fn columns(&self) -> Vec<Col> {
+        let stack = &self.m.delta.stack;
+        vec![
+            Col::both("operator", "operator", self.op),
+            Col::shown("ms", Cell::Num(self.m.ms(), 1)),
+            Col::shown("rel-time", format!("{:.0}%", 100.0 * self.rel_time)),
+            Col::shown("words-alloc", self.m.words_allocated()),
+            Col::shown("rel-alloc", format!("{:.0}%", 100.0 * self.rel_alloc)),
+            Col::shown("stack-words", stack.segment_slots_allocated),
+            Col::shown("slots-copied", stack.slots_copied),
+            Col::json("measurement", self.m),
+        ]
+    }
 }
 
 /// The §4 tak experiment: ctak under both capture operators, plus
@@ -116,13 +150,21 @@ pub fn tak_experiment(x: i64, y: i64, z: i64) -> Vec<TakRow> {
             Config { oneshot_policy: OneShotPolicy::SealWithPad(128), ..Config::default() },
         ),
     ];
-    configs
+    let runs: Vec<(&'static str, Measurement)> = configs
         .into_iter()
         .map(|(label, capture, cfg)| {
             let mut vm = vm_with(cfg);
             vm.eval_str(&workloads::ctak(capture)).expect("ctak loads");
-            let m = run_measured(&mut vm, &format!("(ctak {x} {y} {z})")).expect("ctak runs");
-            TakRow { op: label, m }
+            (label, run_measured(&mut vm, &format!("(ctak {x} {y} {z})")).expect("ctak runs"))
+        })
+        .collect();
+    let (base_ms, base_words) = (runs[0].1.ms(), runs[0].1.words_allocated() as f64);
+    runs.into_iter()
+        .map(|(op, m)| TakRow {
+            op,
+            m,
+            rel_time: m.ms() / base_ms,
+            rel_alloc: m.words_allocated() as f64 / base_words,
         })
         .collect()
 }
@@ -138,6 +180,21 @@ pub struct OverflowRow {
     pub policy: OverflowPolicy,
     /// Measurement of the deep-recursion rounds.
     pub m: Measurement,
+}
+
+impl Row for OverflowRow {
+    fn columns(&self) -> Vec<Col> {
+        let stack = &self.m.delta.stack;
+        vec![
+            Col::both("overflow_as", "overflow-as", format!("{:?}", self.policy)),
+            Col::shown("ms", Cell::Num(self.m.ms(), 1)),
+            Col::shown("slots-copied", stack.slots_copied),
+            Col::shown("segments", stack.segments_allocated),
+            Col::shown("cache-hits", stack.cache_hits),
+            Col::shown("words-alloc", self.m.words_allocated()),
+            Col::json("measurement", self.m),
+        ]
+    }
 }
 
 /// The §4 overflow experiment: `rounds` repetitions of a `depth`-deep
@@ -198,6 +255,23 @@ impl FrameRow {
     }
 }
 
+impl Row for FrameRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("program", "program", self.name),
+            Col::both("pipeline", "pipeline", format!("{:?}", self.pipeline)),
+            Col::both("calls", "calls", self.calls),
+            Col::both("closures", "closures", self.closures),
+            Col::json("instructions", self.instructions),
+            Col::both("closures_per_call", "closures/call", Cell::Num(self.closures_per_call(), 3)),
+            Col::shown(
+                "ops/call",
+                Cell::Num(self.instructions as f64 / self.calls.max(1) as f64, 1),
+            ),
+        ]
+    }
+}
+
 /// The §5 analysis: for each benchmark, count closures per frame under the
 /// direct (stack) compiler and the CPS (heap) compiler.
 ///
@@ -244,6 +318,24 @@ pub struct CacheRow {
     pub m: Measurement,
 }
 
+impl Row for CacheRow {
+    fn columns(&self) -> Vec<Col> {
+        let stack = &self.m.delta.stack;
+        let cache = match self.cache_limit {
+            0 => "disabled".to_string(),
+            n => format!("{n} segments"),
+        };
+        vec![
+            Col::json("cache_limit", self.cache_limit),
+            Col::shown("cache", cache),
+            Col::shown("ms", Cell::Num(self.m.ms(), 1)),
+            Col::shown("segments-allocated", stack.segments_allocated),
+            Col::shown("cache-hits", stack.cache_hits),
+            Col::json("measurement", self.m),
+        ]
+    }
+}
+
 /// §3.2: without the segment cache, call/1cc-intensive programs were
 /// "unacceptably slow" — every capture allocates a fresh segment.
 ///
@@ -273,6 +365,19 @@ pub struct HysteresisRow {
     pub hysteresis: usize,
     /// Measurement of the boundary-hovering recursion.
     pub m: Measurement,
+}
+
+impl Row for HysteresisRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::json("hysteresis_slots", self.hysteresis),
+            Col::shown("hysteresis", format!("{} slots", self.hysteresis)),
+            Col::shown("ms", Cell::Num(self.m.ms(), 1)),
+            Col::shown("overflows", self.m.delta.stack.overflows),
+            Col::shown("slots-copied", self.m.delta.stack.slots_copied),
+            Col::json("measurement", self.m),
+        ]
+    }
 }
 
 /// §3.2: naive one-shot overflow "bounces" when a recursion hovers across
@@ -322,6 +427,20 @@ pub struct FragmentationRow {
     pub konts: usize,
     /// Resident stack slots after all captures.
     pub resident_slots: usize,
+}
+
+impl Row for FragmentationRow {
+    fn columns(&self) -> Vec<Col> {
+        // A slot models a 4-byte word, matching the paper's 16 KB /
+        // 4096-word default segments.
+        let mb = self.resident_slots as f64 * 4.0 / 1e6;
+        vec![
+            Col::both("policy", "policy", format!("{:?}", self.policy)),
+            Col::both("threads", "threads", self.konts),
+            Col::both("resident_slots", "resident-slots", self.resident_slots),
+            Col::shown("~bytes", format!("{mb:.2} MB")),
+        ]
+    }
 }
 
 /// §3.4: 100 shallow threads suspended via call/1cc each pin a whole
@@ -376,6 +495,17 @@ pub struct PromotionRow {
     pub promotion_steps: u64,
     /// One-shots promoted.
     pub promotions: u64,
+}
+
+impl Row for PromotionRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("chain_length", "chain-length", self.chain),
+            Col::both("strategy", "strategy", format!("{:?}", self.strategy)),
+            Col::both("promotions", "promotions", self.promotions),
+            Col::both("promotion_steps", "walk-steps", self.promotion_steps),
+        ]
+    }
 }
 
 /// §3.3: promoting a chain of n one-shots costs n steps eagerly, O(1) with
@@ -437,6 +567,17 @@ impl DispatchRow {
     /// independent of how many instructions fusion removed.
     pub fn ns_per_instruction(&self) -> f64 {
         self.ms * 1e6 / self.instructions.max(1) as f64
+    }
+}
+
+impl Row for DispatchRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("name", "workload", self.name),
+            Col::both("ms", "ms", Cell::Num(self.ms, 1)),
+            Col::both("instructions", "instructions", self.instructions),
+            Col::json("ns_per_instruction", Cell::Num(self.ns_per_instruction(), 1)),
+        ]
     }
 }
 
@@ -622,6 +763,34 @@ pub struct GcRow {
     /// Whether the final live count differs from the pre-run baseline —
     /// an object the collector failed to reclaim.
     pub leaked: bool,
+}
+
+impl Row for GcRow {
+    fn columns(&self) -> Vec<Col> {
+        let threshold = if self.gc_threshold >= GC_UNBOUNDED {
+            Cell::from("unbounded")
+        } else {
+            Cell::from(self.gc_threshold)
+        };
+        vec![
+            Col::both("workload", "workload", self.name),
+            Col::both("gc_threshold", "threshold", threshold),
+            Col::both("ms", "ms", Cell::Num(self.ms, 1)),
+            Col::json("result", self.result.as_str()),
+            Col::both("words_allocated", "words-alloc", self.words_allocated),
+            Col::both("objects_allocated", "objects", self.objects_allocated),
+            Col::json("objects_freed", self.objects_freed),
+            Col::both("collections", "collections", self.collections),
+            Col::shown("freed", self.objects_freed),
+            Col::json("sweep_ns", self.sweep_ns),
+            Col::shown("sweep-ms", Cell::Num(self.sweep_ns as f64 / 1e6, 2)),
+            Col::json("max_pause_ns", self.max_pause_ns),
+            Col::shown("max-pause-ms", Cell::Num(self.max_pause_ns as f64 / 1e6, 2)),
+            Col::both("live_after", "live-after", self.live_after),
+            Col::json("leaked", self.leaked),
+            Col::shown("leak", if self.leaked { "LEAK" } else { "ok" }),
+        ]
+    }
 }
 
 /// The scale knobs of the E10 GC experiment.
@@ -941,6 +1110,32 @@ pub struct ExecRow {
     pub slots_copied: u64,
 }
 
+impl Row for ExecRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("workers", "workers", self.workers),
+            Col::both("fuel_slice", "fuel-slice", self.fuel_slice),
+            Col::json("jobs", self.jobs),
+            Col::both("wall_ms", "wall-ms", Cell::Num(self.wall_ms, 1)),
+            Col::both("throughput_jobs_per_s", "jobs/s", Cell::Num(self.throughput, 1)),
+            Col::both("p50_ms", "p50-ms", Cell::Num(self.p50_ms, 1)),
+            Col::both("p99_ms", "p99-ms", Cell::Num(self.p99_ms, 1)),
+            Col::json("completed", self.completed),
+            Col::json("failed", self.failed),
+            Col::json("timed_out", self.timed_out),
+            Col::json("panicked", self.panicked),
+            Col::both("steals", "steals", self.steals),
+            Col::both("requeues", "requeues", self.requeues),
+            Col::both("slices", "slices", self.slices),
+            Col::json("queue_depth_highwater", self.queue_depth_highwater),
+            Col::json("instructions", self.instructions),
+            Col::json("captures_one", self.captures_one),
+            Col::json("reinstates_one", self.reinstates_one),
+            Col::both("slots_copied", "slots-copied", self.slots_copied),
+        ]
+    }
+}
+
 fn percentile_ms(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
@@ -1051,6 +1246,23 @@ impl ChaosRow {
         } else {
             self.recovered as f64 / affected as f64
         }
+    }
+}
+
+impl Row for ChaosRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("workload", "workload", self.workload),
+            Col::both("horizon", "horizon", self.horizon),
+            Col::both("runs", "runs", self.runs),
+            Col::both("clean", "clean", self.clean),
+            Col::both("recovered", "recovered", self.recovered),
+            Col::both("uncaught", "uncaught", self.uncaught),
+            Col::both("recovery_rate", "recovery", Cell::Num(self.recovery_rate(), 2)),
+            Col::both("faults_injected", "faults", self.faults_injected),
+            Col::both("conditions_raised", "conditions", self.conditions_raised),
+            Col::both("wall_ms", "wall-ms", Cell::Num(self.wall_ms, 1)),
+        ]
     }
 }
 
@@ -1254,10 +1466,40 @@ pub struct ReactorRow {
     /// the honest concurrency measure.
     pub blocked_highwater: u64,
     /// Open sockets after the drain (must be 0).
-    pub leaked_sockets: i64,
+    pub leaked_sockets: u64,
     /// In-use (uncached) stack segments after the drain, summed over
     /// workers: a sealed continuation that leaked would show up here.
-    pub live_segments: i64,
+    pub live_segments: u64,
+}
+
+impl Row for ReactorRow {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("mode", "mode", self.mode),
+            Col::json("reactor_backend", self.backend),
+            Col::both("workers", "workers", self.workers),
+            Col::both("green_threads", "green-threads", self.green_threads),
+            Col::both("ops", "ops", self.ops),
+            Col::both("wall_ms", "wall-ms", Cell::Num(self.wall_ms, 1)),
+            Col::both("throughput_ops_per_s", "ops/s", Cell::Num(self.throughput, 0)),
+            Col::json("p50_us", Cell::Num(self.p50_us, 0)),
+            Col::shown("p50-ms", Cell::Num(self.p50_us / 1e3, 2)),
+            Col::json("p99_us", Cell::Num(self.p99_us, 0)),
+            Col::shown("p99-ms", Cell::Num(self.p99_us / 1e3, 2)),
+            Col::json("max_us", Cell::Num(self.max_us, 0)),
+            Col::shown("max-ms", Cell::Num(self.max_us / 1e3, 2)),
+            Col::json("completed", self.completed),
+            Col::json("failed", self.failed),
+            Col::json("io_blocked", self.io_blocked),
+            Col::json("io_wakeups", self.io_wakeups),
+            Col::json("timer_waits", self.timer_waits),
+            Col::both("blocked_highwater", "blocked-hw", self.blocked_highwater),
+            Col::shown("wakeups", self.io_wakeups),
+            Col::json("leaked_sockets", self.leaked_sockets),
+            Col::json("live_segments", self.live_segments),
+            Col::shown("leaks(fd/seg)", format!("{}/{}", self.leaked_sockets, self.live_segments)),
+        ]
+    }
 }
 
 /// Pinned per shard worker: bind `n` loopback listeners (one per
@@ -1308,7 +1550,7 @@ const REACTOR_CLIENT_LIB: &str = "(define (read-n s n acc)
 /// Pinned per worker after the drain: `(live-sockets . in-use-segments)`.
 /// Cached segments are excluded — a drained continuation's segments land
 /// in the reuse cache, which is recycling, not leakage.
-const REACTOR_AUDIT: &str = "(cons (%net-live) (cdr (assq 'live-uncached-segments (vm-stats))))";
+const LEAK_AUDIT: &str = "(cons (%net-live) (cdr (assq 'live-uncached-segments (vm-stats))))";
 
 /// Parses a flat Scheme list of fixnums, e.g. `"(118 92 87)"`.
 fn parse_fixnum_list(shown: &str) -> Vec<i64> {
@@ -1319,22 +1561,42 @@ fn parse_fixnum_list(shown: &str) -> Vec<i64> {
         .collect()
 }
 
+/// What a drained pool's guests still hold, summed over its workers.
+#[derive(Debug, Clone, Copy)]
+struct LeakAudit {
+    /// Open guest sockets.
+    sockets: u64,
+    /// In-use (uncached) stack segments.
+    segments: u64,
+    /// Audit jobs submitted, retries included.
+    jobs: u64,
+}
+
 /// Runs the post-drain leak audit on every worker of a still-live pool.
-fn reactor_audit(pool: &oneshot_exec::Pool, workers: usize) -> (i64, i64) {
+/// A still-armed one-shot fault clock can eat an audit job, so each
+/// worker's audit is resubmitted (spending the clock) until a count comes
+/// back, at most five times.
+///
+/// # Panics
+///
+/// Panics if every attempt on a worker fails, or a count is not a
+/// non-negative integer.
+fn leak_audit(pool: &oneshot_exec::Pool, workers: usize) -> LeakAudit {
     use oneshot_exec::JobSpec;
-    let (mut sockets, mut segments) = (0i64, 0i64);
+    let mut audit = LeakAudit { sockets: 0, segments: 0, jobs: 0 };
     for w in 0..workers {
-        let shown = pool
-            .submit(JobSpec::new(format!("audit-{w}"), REACTOR_AUDIT).pin(w))
-            .expect("audit submits")
-            .wait()
-            .result
-            .expect("audit runs");
+        let shown = (0..5)
+            .find_map(|attempt| {
+                audit.jobs += 1;
+                let job = JobSpec::new(format!("audit-{w}-{attempt}"), LEAK_AUDIT).pin(w);
+                pool.submit(job).expect("audit submits").wait().result.ok()
+            })
+            .expect("audit survives the spent fault clocks");
         let (s, g) = shown.trim_matches(['(', ')']).split_once(" . ").expect("audit pair");
-        sockets += s.parse::<i64>().expect("socket count");
-        segments += g.parse::<i64>().expect("segment count");
+        audit.sockets += s.parse::<u64>().expect("socket count");
+        audit.segments += g.parse::<u64>().expect("segment count");
     }
-    (sockets, segments)
+    audit
 }
 
 /// Assembles a [`ReactorRow`] from a finished cell's latency samples and
@@ -1346,7 +1608,7 @@ fn reactor_row(
     mut samples_us: Vec<f64>,
     wall: std::time::Duration,
     c: &oneshot_exec::PoolCountersSnapshot,
-    audit: (i64, i64),
+    audit: LeakAudit,
 ) -> ReactorRow {
     samples_us.sort_by(f64::total_cmp);
     ReactorRow {
@@ -1366,8 +1628,8 @@ fn reactor_row(
         io_wakeups: c.io_wakeups,
         timer_waits: c.timer_waits,
         blocked_highwater: c.blocked_highwater,
-        leaked_sockets: audit.0,
-        live_segments: audit.1,
+        leaked_sockets: audit.sockets,
+        live_segments: audit.segments,
     }
 }
 
@@ -1469,7 +1731,7 @@ pub fn reactor_echo_case(workers: usize, pairs: usize, rounds: usize) -> Reactor
     let wall = start.elapsed();
     assert_eq!(rtts_us.len(), pairs * rounds);
 
-    let audit = reactor_audit(&pool, workers);
+    let audit = leak_audit(&pool, workers);
     let report = pool.shutdown().expect("pool drains");
     reactor_row("echo", workers, 2 * pairs, rtts_us, wall, &report.counters, audit)
 }
@@ -1519,7 +1781,7 @@ pub fn reactor_timer_case(workers: usize, jobs: usize, wait_ms: u64) -> ReactorR
          the storm never reached full suspension"
     );
 
-    let audit = reactor_audit(&pool, workers);
+    let audit = leak_audit(&pool, workers);
     let report = pool.shutdown().expect("pool drains");
     reactor_row("timer-storm", workers, jobs, lateness_us, wall, &report.counters, audit)
 }
@@ -1672,10 +1934,48 @@ pub struct E15Row {
     /// backend is pure readiness plumbing, invisible to the guest.
     pub instructions: u64,
     /// Open sockets after the drain (must be 0).
-    pub leaked_sockets: i64,
+    pub leaked_sockets: u64,
     /// In-use (uncached) stack segments after the drain (a leaked sealed
     /// continuation would show up here).
-    pub live_segments: i64,
+    pub live_segments: u64,
+}
+
+impl Row for E15Row {
+    fn columns(&self) -> Vec<Col> {
+        let n = if self.actual == self.requested {
+            self.actual.to_string()
+        } else {
+            format!("{} (req {})", self.actual, self.requested)
+        };
+        vec![
+            Col::both("mode", "mode", self.mode),
+            Col::both("reactor_backend", "backend", self.backend),
+            Col::both("workers", "workers", self.workers),
+            Col::json("requested", self.requested),
+            Col::json("actual", self.actual),
+            Col::shown("n", n),
+            Col::both("ops", "ops", self.ops),
+            Col::both("wall_ms", "wall-ms", Cell::Num(self.wall_ms, 1)),
+            Col::both("throughput_ops_per_s", "ops/s", Cell::Num(self.throughput, 0)),
+            Col::both("p50_us", "p50-us", Cell::Num(self.p50_us, 0)),
+            Col::both("p99_us", "p99-us", Cell::Num(self.p99_us, 0)),
+            Col::both("max_us", "max-us", Cell::Num(self.max_us, 0)),
+            Col::json("completed", self.completed),
+            Col::json("failed", self.failed),
+            Col::json("io_blocked", self.io_blocked),
+            Col::json("io_wakeups", self.io_wakeups),
+            Col::json("timer_waits", self.timer_waits),
+            Col::both("blocked_highwater", "blocked-hw", self.blocked_highwater),
+            Col::both("resume_depth_highwater", "resume-hw", self.resume_depth_highwater),
+            Col::json("accepts_per_worker", self.accepts_per_worker.clone()),
+            Col::json("accept_queue_highwater", self.accept_queue_highwater),
+            Col::json("wake_lateness", self.wake_lateness.clone()),
+            Col::json("instructions", self.instructions),
+            Col::json("leaked_sockets", self.leaked_sockets),
+            Col::json("live_segments", self.live_segments),
+            Col::shown("leaks(fd/seg)", format!("{}/{}", self.leaked_sockets, self.live_segments)),
+        ]
+    }
 }
 
 /// Clamps a connection count to the process fd budget: 2 fds per
@@ -1696,7 +1996,7 @@ fn e15_row(
     mut samples_us: Vec<f64>,
     wall: std::time::Duration,
     report: &oneshot_exec::PoolReport,
-    audit: (i64, i64),
+    audit: LeakAudit,
 ) -> E15Row {
     let c = &report.counters;
     samples_us.sort_by(f64::total_cmp);
@@ -1723,8 +2023,8 @@ fn e15_row(
         accept_queue_highwater: c.accept_queue_highwater,
         wake_lateness: c.wake_lateness.clone(),
         instructions: report.workers.iter().map(|w| w.vm.instructions).sum(),
-        leaked_sockets: audit.0,
-        live_segments: audit.1,
+        leaked_sockets: audit.sockets,
+        live_segments: audit.segments,
     }
 }
 
@@ -1847,7 +2147,7 @@ pub fn e15_probe_case(
         assert!(shown.contains("bye"), "parked job read its release payload: {shown:?}");
     }
 
-    let audit = reactor_audit(&pool, 1);
+    let audit = leak_audit(&pool, 1);
     let report = pool.shutdown().expect("pool drains");
     e15_row("blocked-probe", 1, parked_req, parked, rounds, rtts_us, wall, &report, audit)
 }
@@ -1907,7 +2207,7 @@ pub fn e15_storm_case(
         .collect();
     let wall = start.elapsed();
 
-    let audit = reactor_audit(&pool, workers);
+    let audit = leak_audit(&pool, workers);
     let report = pool.shutdown().expect("pool drains");
     e15_row(
         "timer-storm",
@@ -2023,7 +2323,7 @@ pub fn e15_serve_case(
     assert_eq!(rtts_us.len(), conns * rounds);
     assert_eq!(serve.accepted(), conns as u64, "every connection was accepted");
 
-    let audit = reactor_audit(&pool, workers);
+    let audit = leak_audit(&pool, workers);
     let report = pool.shutdown().expect("pool drains");
     assert_eq!(
         report.counters.accepts_per_worker.iter().sum::<u64>(),
@@ -2144,9 +2444,35 @@ pub struct E17Row {
     /// audit job; the audit retries until the clocks are spent).
     pub audit_jobs: u64,
     /// Open guest sockets after every drain, summed (must be 0).
-    pub leaked_sockets: i64,
+    pub leaked_sockets: u64,
     /// Wall-clock milliseconds over the whole cell.
     pub wall_ms: f64,
+}
+
+impl Row for E17Row {
+    fn columns(&self) -> Vec<Col> {
+        vec![
+            Col::both("mode", "mode", self.mode),
+            Col::both("backend", "backend", self.backend),
+            Col::both("seeds", "seeds", self.seeds),
+            Col::both("conns", "conns", self.conns),
+            Col::json("answered", self.answered),
+            Col::json("degraded", self.degraded),
+            Col::shown("ans/deg", format!("{}/{}", self.answered, self.degraded)),
+            Col::json("completed", self.completed),
+            Col::json("failed", self.failed),
+            Col::shown("done/fail", format!("{}/{}", self.completed, self.failed)),
+            Col::both("retried", "retried", self.retried),
+            Col::both("faults_injected", "faults", self.faults_injected),
+            Col::both("io_timeouts", "io-to", self.io_timeouts),
+            Col::both("accepts_shed", "shed", self.accepts_shed),
+            Col::json("shed_duration_ns", self.shed_duration_ns),
+            Col::both("worker_restarts", "restarts", self.worker_restarts),
+            Col::json("audit_jobs", self.audit_jobs),
+            Col::both("leaked_sockets", "leaks", self.leaked_sockets),
+            Col::both("wall_ms", "wall-ms", Cell::Num(self.wall_ms, 0)),
+        ]
+    }
 }
 
 /// The chaos-serve connection handler: one read, echo, close — every
@@ -2160,30 +2486,6 @@ const E17_HANDLER: &str = "(let ((c (conn-take)))
              (if (not (eq? d 'eof)) (tcp-write c d))
              (tcp-close c)
              'served))))";
-
-/// Retry-tolerant leak audit: unlike [`reactor_audit`] this one survives
-/// an audit job eaten by a still-armed one-shot fault clock — it
-/// resubmits (spending the clock) until a count comes back. Returns
-/// `(leaked_sockets, audit_jobs_submitted)`.
-fn e17_audit(pool: &oneshot_exec::Pool, workers: usize) -> (i64, u64) {
-    use oneshot_exec::JobSpec;
-    let (mut leaked, mut audits) = (0i64, 0u64);
-    for w in 0..workers {
-        let mut live = None;
-        for attempt in 0..5 {
-            audits += 1;
-            let audit = pool
-                .submit(JobSpec::new(format!("audit-{w}-{attempt}"), "(%net-live)").pin(w))
-                .expect("audit submits");
-            if let Ok(v) = audit.wait().result {
-                live = Some(v.parse::<i64>().expect("socket count"));
-                break;
-            }
-        }
-        leaked += live.expect("audit survives the spent fault clocks");
-    }
-    (leaked, audits)
-}
 
 /// Drives `conns` host connections through a serving pool and classifies
 /// each: `answered` read its payload back verbatim, `degraded` resolved
@@ -2270,7 +2572,7 @@ pub fn e17_chaos_case(backend: oneshot_exec::Backend, scale: &E17Scale, armed: b
         let serve = pool.serve("127.0.0.1:0", handler).expect("listener binds");
         let (answered, degraded) = e17_drive_conns(serve.port(), scale.conns, &format!("s{seed}"));
         serve.stop();
-        let (leaked, audits) = e17_audit(&pool, scale.workers);
+        let audit = leak_audit(&pool, scale.workers);
         let report = pool
             .shutdown_timeout(std::time::Duration::from_secs(120))
             .expect("pool drains under chaos");
@@ -2286,12 +2588,12 @@ pub fn e17_chaos_case(backend: oneshot_exec::Backend, scale: &E17Scale, armed: b
             c.io_faults_injected + report.workers.iter().map(|w| w.vm.faults_injected).sum::<u64>();
         row.io_timeouts += c.io_timeouts;
         row.worker_restarts += c.worker_restarts;
-        row.audit_jobs += audits;
-        row.leaked_sockets += leaked;
-        assert_eq!(leaked, 0, "E17 {} seed {seed}: leaked sockets", row.mode);
+        row.audit_jobs += audit.jobs;
+        row.leaked_sockets += audit.sockets;
+        assert_eq!(audit.sockets, 0, "E17 {} seed {seed}: leaked sockets", row.mode);
         assert_eq!(
             c.completed + c.failed,
-            scale.conns as u64 + audits,
+            scale.conns as u64 + audit.jobs,
             "E17 {} seed {seed}: every handler and audit resolves exactly once",
             row.mode
         );
@@ -2364,7 +2666,7 @@ pub fn e17_overload_case(backend: oneshot_exec::Backend, burst: usize) -> E17Row
         }
     }
     serve.stop();
-    let (leaked, audits) = e17_audit(&pool, 1);
+    let audit = leak_audit(&pool, 1);
     let report = pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
     let c = &report.counters;
     assert!(served >= 1, "E17 overload: the pool must keep serving while shedding");
@@ -2372,7 +2674,7 @@ pub fn e17_overload_case(backend: oneshot_exec::Backend, burst: usize) -> E17Row
     assert_eq!(c.accepts_shed, shed as u64, "E17 overload: every shed accept is counted");
     assert!(c.shed_duration_ns > 0, "E17 overload: time under shed is tracked");
     assert_eq!(c.failed, 0, "E17 overload: shedding never fails a job");
-    assert_eq!(leaked, 0, "E17 overload: leaked sockets");
+    assert_eq!(audit.sockets, 0, "E17 overload: leaked sockets");
     E17Row {
         mode: "overload",
         backend: c.reactor_backend,
@@ -2388,8 +2690,8 @@ pub fn e17_overload_case(backend: oneshot_exec::Backend, burst: usize) -> E17Row
         accepts_shed: c.accepts_shed,
         shed_duration_ns: c.shed_duration_ns,
         worker_restarts: c.worker_restarts,
-        audit_jobs: audits,
-        leaked_sockets: leaked,
+        audit_jobs: audit.jobs,
+        leaked_sockets: audit.sockets,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -2428,7 +2730,7 @@ pub fn e17_supervision_case(backend: oneshot_exec::Backend, workers: usize) -> E
     std::thread::sleep(std::time::Duration::from_millis(100));
     let (post_answered, post_degraded) = e17_drive_conns(port, 4, "post");
     serve.stop();
-    let (leaked, audits) = e17_audit(&pool, workers);
+    let audit = leak_audit(&pool, workers);
     let report = pool.shutdown_timeout(std::time::Duration::from_secs(120)).expect("pool drains");
     let c = &report.counters;
     assert!(c.worker_restarts >= 1, "E17 supervision: the restart must be counted");
@@ -2436,7 +2738,7 @@ pub fn e17_supervision_case(backend: oneshot_exec::Backend, workers: usize) -> E
         post_answered, 4,
         "E17 supervision: the rebuilt worker must answer every post-kill connection"
     );
-    assert_eq!(leaked, 0, "E17 supervision: leaked sockets");
+    assert_eq!(audit.sockets, 0, "E17 supervision: leaked sockets");
     E17Row {
         mode: "supervision",
         backend: c.reactor_backend,
@@ -2452,8 +2754,8 @@ pub fn e17_supervision_case(backend: oneshot_exec::Backend, workers: usize) -> E
         accepts_shed: c.accepts_shed,
         shed_duration_ns: c.shed_duration_ns,
         worker_restarts: c.worker_restarts,
-        audit_jobs: audits,
-        leaked_sockets: leaked,
+        audit_jobs: audit.jobs,
+        leaked_sockets: audit.sockets,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -2601,6 +2903,28 @@ impl E16Row {
     pub fn captured_bytes(&self) -> u64 {
         let slots = self.m.delta.stack.subcont_slots + self.m.delta.stack.slots_encapsulated;
         slots * std::mem::size_of::<oneshot_vm::Slot>() as u64
+    }
+}
+
+impl Row for E16Row {
+    fn columns(&self) -> Vec<Col> {
+        let stack = &self.m.delta.stack;
+        vec![
+            Col::both("workload", "workload", self.workload),
+            Col::both("encoding", "encoding", self.encoding),
+            Col::json("answer", self.answer.as_str()),
+            Col::shown("ms", Cell::Num(self.m.ms(), 1)),
+            Col::shown("instructions", self.m.delta.instructions),
+            Col::both("captured_bytes", "captured-bytes", self.captured_bytes()),
+            Col::shown("prompts", stack.prompts_pushed),
+            Col::shown("takes", stack.subconts_taken),
+            Col::shown("captures", stack.captures_one + stack.captures_multi),
+            Col::shown("leaks", if self.leaked { "LEAK" } else { "0" }),
+            Col::json("live_after", self.live_after),
+            Col::json("live_segments_after", self.live_segments_after),
+            Col::json("leaked", self.leaked),
+            Col::json("measurement", self.m),
+        ]
     }
 }
 

@@ -8,7 +8,8 @@
 //! * [`experiments`] — one function per table/figure of the paper
 //!   (E1–E8 in DESIGN.md);
 //! * [`metrics`] — dependency-free JSON export of the experiment results
-//!   (the `experiments.json` the binary writes);
+//!   (the `experiments.json` the binary writes) and the row declarations
+//!   that drive both it and the printed tables;
 //! * [`rng`] — a deterministic xorshift64* PRNG (no external deps).
 //!
 //! The `experiments` binary drives everything:

@@ -2,6 +2,9 @@
 //! emitter and a minimal parser, plus conversions from the workspace's
 //! counter structs.
 //!
+//! Experiment rows declare their columns once ([`Row`]); a [`Report`]
+//! renders them as both the printed table and the JSON.
+//!
 //! The `experiments` binary uses this to write `experiments.json` — the
 //! machine-readable companion to its printed tables, carrying the same
 //! per-experiment control-event counts (captures, reinstatements,
@@ -368,6 +371,188 @@ pub fn counters_json(c: &dyn Counters) -> Json {
 /// full counter delta from [`counters_json`].
 pub fn measurement_json(m: &Measurement) -> Json {
     Json::obj([("ms", Json::Num(m.ms())), ("delta", counters_json(&m.delta))])
+}
+
+/// One value of an experiment row, in the vocabulary both outputs share:
+/// [`Cell::json`] is what the JSON carries, [`Cell::text`] what the
+/// printed table shows.
+#[derive(Debug, Clone)]
+pub enum Cell {
+    /// A count.
+    Int(u64),
+    /// A float and the decimals the table shows (the JSON keeps them all).
+    Num(f64, usize),
+    /// A label.
+    Str(String),
+    /// A flag.
+    Bool(bool),
+    /// A list of counts.
+    Ints(Vec<u64>),
+    /// A measured run, exported through [`measurement_json`]; the table
+    /// shows its milliseconds.
+    Measured(Box<Measurement>),
+}
+
+impl Cell {
+    /// The value as JSON.
+    pub fn json(&self) -> Json {
+        match self {
+            Cell::Int(n) => Json::int(*n),
+            Cell::Num(x, _) => Json::Num(*x),
+            Cell::Str(s) => Json::str(s.clone()),
+            Cell::Bool(b) => Json::Bool(*b),
+            Cell::Ints(ns) => Json::Arr(ns.iter().map(|&n| Json::int(n)).collect()),
+            Cell::Measured(m) => measurement_json(m),
+        }
+    }
+
+    /// The value as a table cell.
+    pub fn text(&self) -> String {
+        match self {
+            Cell::Int(n) => n.to_string(),
+            Cell::Num(x, decimals) => format!("{x:.decimals$}"),
+            Cell::Str(s) => s.clone(),
+            Cell::Bool(b) => b.to_string(),
+            Cell::Ints(ns) => format!("{ns:?}"),
+            Cell::Measured(m) => format!("{:.1}", m.ms()),
+        }
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Cell {
+        Cell::Int(n)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Int(n as u64)
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Str(s)
+    }
+}
+
+impl From<bool> for Cell {
+    fn from(b: bool) -> Cell {
+        Cell::Bool(b)
+    }
+}
+
+impl From<Vec<u64>> for Cell {
+    fn from(ns: Vec<u64>) -> Cell {
+        Cell::Ints(ns)
+    }
+}
+
+impl From<Measurement> for Cell {
+    fn from(m: Measurement) -> Cell {
+        Cell::Measured(Box::new(m))
+    }
+}
+
+/// One column of a row declaration: its JSON key, its table header, and
+/// its value. A column without a key is display-only; one without a
+/// header is JSON-only.
+#[derive(Debug, Clone)]
+pub struct Col {
+    /// Key in the row's JSON object, if the JSON carries this column.
+    pub key: Option<&'static str>,
+    /// Header in the printed table, if the table shows this column.
+    pub header: Option<&'static str>,
+    /// The value.
+    pub cell: Cell,
+}
+
+impl Col {
+    /// A column in both the JSON (under `key`) and the table (under
+    /// `header`).
+    pub fn both(key: &'static str, header: &'static str, cell: impl Into<Cell>) -> Col {
+        Col { key: Some(key), header: Some(header), cell: cell.into() }
+    }
+
+    /// A JSON-only column.
+    pub fn json(key: &'static str, cell: impl Into<Cell>) -> Col {
+        Col { key: Some(key), header: None, cell: cell.into() }
+    }
+
+    /// A display-only column.
+    pub fn shown(header: &'static str, cell: impl Into<Cell>) -> Col {
+        Col { key: None, header: Some(header), cell: cell.into() }
+    }
+}
+
+/// An experiment row declared once: its columns drive both the printed
+/// table and the JSON object, so a field's key, header and format are
+/// written in one place.
+pub trait Row {
+    /// Every column of this row, in order. The JSON object takes the
+    /// keyed columns in this order, the table the headed ones.
+    fn columns(&self) -> Vec<Col>;
+}
+
+/// A set of rows rendered through their declarations: the printed
+/// table's headers and cells, and one JSON object per row.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// Table headers, from the rows' headed columns.
+    pub headers: Vec<&'static str>,
+    /// Table cells, one line per row.
+    pub cells: Vec<Vec<String>>,
+    /// The rows as JSON objects.
+    pub rows: Vec<Json>,
+}
+
+impl Report {
+    /// Renders declared rows.
+    pub fn new<R: Row>(rows: &[R]) -> Report {
+        Report::from_columns(rows.iter().map(Row::columns))
+    }
+
+    /// Renders rows given as column lists (for reports that extend a
+    /// declared row with columns of their own).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two rows disagree on their headers — a declaration bug.
+    pub fn from_columns(rows: impl IntoIterator<Item = Vec<Col>>) -> Report {
+        let mut report = Report { headers: Vec::new(), cells: Vec::new(), rows: Vec::new() };
+        for (i, cols) in rows.into_iter().enumerate() {
+            let headers: Vec<&'static str> = cols.iter().filter_map(|c| c.header).collect();
+            if i == 0 {
+                report.headers = headers;
+            } else {
+                assert_eq!(headers, report.headers, "row {i} declares different headers");
+            }
+            report
+                .cells
+                .push(cols.iter().filter(|c| c.header.is_some()).map(|c| c.cell.text()).collect());
+            report.rows.push(Json::Obj(
+                cols.iter().filter_map(|c| Some((c.key?.to_string(), c.cell.json()))).collect(),
+            ));
+        }
+        report
+    }
+
+    /// The aligned text table.
+    pub fn table(&self) -> String {
+        crate::measure::render_table(&self.headers, &self.cells)
+    }
+
+    /// The rows as a JSON array.
+    pub fn json(self) -> Json {
+        Json::Arr(self.rows)
+    }
 }
 
 #[cfg(test)]
